@@ -5,10 +5,8 @@ from .buchberger import (
     BuchbergerOptions,
     DeadlineExceeded,
     GroebnerBasis,
-    SPair,
     buchberger,
     is_groebner,
-    pair_filter,
 )
 from .degeneration import (
     FlatFamily,

@@ -1,8 +1,10 @@
-"""Groebner bases of ideals: completion, the pair criteria, and membership.
+"""Groebner bases of ideals: completion and the Groebner check.
 
-This is the rank-1 face of the module engine.  Basis elements come back
-monic with a transform matrix over the original generators, so every basis
-element can be re-expanded exactly as a combination of the input.
+This is the rank-1 face of the module engine in modules.py, which also
+holds the one pair criterion, the Gebauer–Möller update.  Basis elements
+come back monic with a transform matrix over the original generators, so
+every basis element can be re-expanded exactly as a combination of the
+input.
 """
 
 from __future__ import annotations
@@ -11,16 +13,16 @@ from .division import divide
 from .modules import (
     BuchbergerOptions,
     DeadlineExceeded,
-    SPair,
     as_module_elements,
+    is_module_groebner,
     module_buchberger,
 )
 from .orders import OrderSpec
-from .poly import Polynomial, mono_degree, mono_div, mono_lcm, mono_mul
+from .poly import Polynomial
 
 __all__ = [
-    "GroebnerBasis", "buchberger", "is_groebner", "pair_filter",
-    "BuchbergerOptions", "DeadlineExceeded", "SPair",
+    "GroebnerBasis", "buchberger", "is_groebner",
+    "BuchbergerOptions", "DeadlineExceeded",
 ]
 
 
@@ -106,59 +108,4 @@ def is_groebner(F, order: OrderSpec | None = None) -> bool:
     if order is not None and order != ring.order:
         ring = ring.with_order(order)
         F = [f.reorder(ring) for f in F]
-    for f in F:
-        if f.is_zero:
-            raise ValueError("zero polynomial in candidate basis")
-    from .division import s_polynomial
-
-    for j in range(len(F)):
-        for i in range(j):
-            s = s_polynomial(F[i], F[j])
-            if s.is_zero:
-                continue
-            if not divide(s, F).remainder.is_zero:
-                return False
-    return True
-
-
-def pair_filter(pairs, leads):
-    """Prune an S-pair list without losing the syzygy-generation property.
-
-    Two prunings apply: pairs with coprime leads (lcm equals the product),
-    and pairs whose lcm is properly divisible through a third lead whose two
-    sub-pairs survive.  The properly-divides requirement keeps the rule
-    well-founded, so no circular drops can occur.
-    """
-    pairs = list(pairs)
-    surviving = []
-    present = set()
-    for p in pairs:
-        present.add((p.i, p.j))
-
-    kept = set(present)
-    for p in sorted(pairs, key=lambda p: (-mono_degree(p.lcm), -p.i, -p.j)):
-        if p.lcm == mono_mul(leads[p.i], leads[p.j]):
-            kept.discard((p.i, p.j))
-            continue
-        dropped = False
-        for k in range(len(leads)):
-            if k in (p.i, p.j):
-                continue
-            if mono_div(p.lcm, leads[k]) is None:
-                continue
-            a = (min(p.i, k), max(p.i, k))
-            b = (min(k, p.j), max(k, p.j))
-            lcm_a = mono_lcm(leads[a[0]], leads[a[1]])
-            lcm_b = mono_lcm(leads[b[0]], leads[b[1]])
-            if lcm_a == p.lcm or lcm_b == p.lcm:
-                continue
-            if a in kept and b in kept:
-                dropped = True
-                break
-        if dropped:
-            kept.discard((p.i, p.j))
-
-    for p in pairs:
-        if (p.i, p.j) in kept:
-            surviving.append(p)
-    return surviving
+    return is_module_groebner(as_module_elements(F)[1])

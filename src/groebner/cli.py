@@ -73,7 +73,7 @@ def _load(args) -> IdealFile:
 
 
 def _options(args) -> BuchbergerOptions:
-    return BuchbergerOptions(degree_cap=args.degree_cap, select_seed=None)
+    return BuchbergerOptions(degree_cap=args.degree_cap)
 
 
 def _emit(args, payload: dict, text_lines):

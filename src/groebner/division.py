@@ -1,16 +1,18 @@
 """Multivariate division with remainder and quotients, plus S-polynomials.
 
-Division picks the least-index divisor whose lead term divides the current
-lead, subtracts the matching multiple, and moves irreducible lead terms to
-the remainder.  The result satisfies g = sum(quotients[i] * F[i]) + remainder
-exactly, and no remainder term is divisible by any divisor lead.
+Division is the rank-1 case of modules.module_divide: it picks the
+least-index divisor whose lead term divides the current lead, subtracts the
+matching multiple, and moves irreducible lead terms to the remainder.  The
+result satisfies g = sum(quotients[i] * F[i]) + remainder exactly, and no
+remainder term is divisible by any divisor lead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Polynomial, Term, mono_div, mono_lcm
+from .modules import as_module_elements, module_divide
+from .poly import Polynomial, mono_div, mono_lcm
 
 __all__ = ["DivisionResult", "divide", "s_polynomial", "normal_form"]
 
@@ -36,41 +38,9 @@ def divide(g: Polynomial, divisors) -> DivisionResult:
         # weight orders only totalize degree by degree
         if not g.is_homogeneous() or any(not f.is_homogeneous() for f in divisors):
             raise ValueError("division under a weight order needs homogeneous input")
-    field = ring.field
-    lead_monos = [f.lead_monomial for f in divisors]
-    lead_coeffs = [f.lead_coeff for f in divisors]
-
-    quotients = [{} for _ in divisors]
-    remainder_terms = []
-    work = g
-    steps = 0
-    while not work.is_zero:
-        t = work.lead_term
-        for i, lm in enumerate(lead_monos):
-            q = mono_div(t.monomial, lm)
-            if q is not None:
-                c = field.div(t.coeff, lead_coeffs[i])
-                bucket = quotients[i]
-                bucket[q] = field.add(bucket[q], c) if q in bucket else c
-                work = work.submul(c, q, divisors[i])
-                break
-        else:
-            remainder_terms.append(t)
-            work = work.drop_lead()
-        steps += 1
-
-    remainder = Polynomial(ring, tuple(remainder_terms))
-    qpolys = tuple(
-        Polynomial(
-            ring,
-            tuple(
-                Term(c, m)
-                for m, c in sorted(b.items(), key=lambda mc: ring._key(mc[0]), reverse=True)
-            ),
-        )
-        for b in quotients
-    )
-    return DivisionResult(remainder, qpolys, steps)
+    _, (dividend, *elements) = as_module_elements([g] + divisors)
+    div = module_divide(dividend, elements)
+    return DivisionResult(div.remainder.comps[0], div.quotients, div.steps)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -15,7 +15,7 @@ from math import comb
 
 from .buchberger import BuchbergerOptions, GroebnerBasis, buchberger
 from .division import divide
-from .modules import CapInterrupted, syzygies
+from .modules import CapInterrupted, _neg_key, syzygies
 from .orders import GREVLEX, OrderSpec, eliminate_order
 from .poly import (
     Polynomial,
@@ -65,13 +65,9 @@ class MonomialIdeal:
     @classmethod
     def from_monomials(cls, ring, monos):
         minimal = _minimal_monomials(tuple(m) for m in monos)
-        ordered = sorted(
-            minimal, key=lambda m: (mono_degree(m), ring.monomial_key(m)), reverse=False
-        )
         # within a degree, larger monomials first
         ordered = sorted(
-            ordered,
-            key=lambda m: (mono_degree(m), _neg(ring.monomial_key(m))),
+            minimal, key=lambda m: (mono_degree(m), _neg_key(ring.monomial_key(m)))
         )
         return cls(ring, tuple(ordered))
 
@@ -93,10 +89,9 @@ class MonomialIdeal:
         return len(self.gens)
 
 
-def _neg(key):
-    if isinstance(key, tuple):
-        return tuple(_neg(k) for k in key)
-    return -key
+def _lead_ideal(basis) -> MonomialIdeal:
+    """Ideal of the leads of a Groebner basis: the initial ideal."""
+    return MonomialIdeal.from_monomials(basis[0].ring, [f.lead_monomial for f in basis])
 
 
 def initial_ideal(gens, order: OrderSpec | None = None,
@@ -105,8 +100,7 @@ def initial_ideal(gens, order: OrderSpec | None = None,
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise ValueError("zero ideal has no initial ideal generators")
-    gb = _complete_basis(gens, order=order, opts=opts)
-    return MonomialIdeal.from_monomials(gb.ring, gb.lead_monomials())
+    return _lead_ideal(_complete_basis(gens, order=order, opts=opts).elements)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +487,8 @@ def saturation(gens, seed: int = 0, retries: int = 3,
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
+    if not all(g.is_homogeneous() for g in gens):
+        raise ValueError("saturation by the irrelevant ideal needs homogeneous input")
     for attempt in range(retries):
         changed, change = generic_change(gens, seed + 7919 * attempt)
         sat = saturate_variable(changed, opts=opts)
@@ -500,8 +496,11 @@ def saturation(gens, seed: int = 0, retries: int = 3,
             return []
         changed2, change2 = generic_change(sat, seed + 7919 * attempt + 13)
         sat2 = saturate_variable(changed2, opts=opts)
-        h1 = hilbert_function(sat, max(f.total_degree() for f in sat) + 2)
-        h2 = hilbert_function(sat2, max(f.total_degree() for f in sat) + 2)
+        # both are grevlex Groebner bases, so their leads carry the Hilbert
+        # functions (Macaulay's theorem) without another completion
+        d_max = max(f.total_degree() for f in sat) + 2
+        h1 = hilbert_function(_lead_ideal(sat), d_max)
+        h2 = hilbert_function(_lead_ideal(sat2), d_max)
         if h1 == h2:
             back = [change.unapply(f) for f in sat]
             return list(_complete_basis(back, opts=opts).elements)
@@ -546,8 +545,8 @@ def sat_defect(gens, seed: int = 0, opts: BuchbergerOptions | None = None) -> Sa
     reg = regularity(res)
     sat = saturation(gens, seed=seed, opts=opts)
     cap = max(reg, 0)
-    h_i = hilbert_function(gens, cap)
-    h_sat = hilbert_function(sat, cap) if sat else [0] * (cap + 1)
+    h_i = hilbert_function(initial_ideal(gens, opts=opts), cap)
+    h_sat = hilbert_function(_lead_ideal(sat), cap) if sat else [0] * (cap + 1)
     by_degree = {}
     for d in range(cap + 1):
         diff = h_i[d] - h_sat[d]

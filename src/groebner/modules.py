@@ -14,9 +14,10 @@ smaller component index).
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .poly import (
@@ -31,9 +32,10 @@ from .poly import (
 __all__ = [
     "FreeModule", "ModuleTerm", "ModuleElement",
     "ModuleOrder", "PositionOverTerm", "TermOverPosition", "SchreyerOrder",
-    "BuchbergerOptions", "DeadlineExceeded", "CapInterrupted", "SPair",
+    "BuchbergerOptions", "DeadlineExceeded", "CapInterrupted",
     "ModuleGroebnerBasis", "module_divide", "ModuleDivisionResult",
-    "module_buchberger", "is_module_groebner", "syzygies",
+    "module_buchberger", "gebauer_moller_update", "surviving_pairs",
+    "is_module_groebner", "syzygies",
     "syzygy_generators", "minimalize_generators", "as_module_elements",
 ]
 
@@ -372,19 +374,11 @@ def module_divide(g: ModuleElement, divisors) -> ModuleDivisionResult:
 # completion
 # ---------------------------------------------------------------------------
 
-class SPair(NamedTuple):
-    i: int
-    j: int
-    lcm: tuple
-    sugar_degree: int
-
-
 @dataclass
 class BuchbergerOptions:
     """Knobs for the completion loop."""
 
     reduce: bool = True
-    reduce_incrementally: bool = False
     degree_cap: int | None = None
     select_seed: int | None = None
     deadline: float | None = None  # absolute time.monotonic() stamp
@@ -428,20 +422,70 @@ class ModuleGroebnerBasis:
         return acc
 
 
-def _pair_degree(lt_i, lt_j, lcm, shifts):
-    return mono_degree(lcm) + shifts[lt_i.component]
+def gebauer_moller_update(pending, live, leads, new, product_rule):
+    """Gebauer–Möller pair update for the lead leads[new] joining the basis.
+
+    pending maps every untreated pair (i, j), i < j, to the lcm of its
+    leads; live lists the earlier indices whose leads no later lead
+    divides.  Both are edited in place.  An old pair goes when the new lead
+    divides its lcm and the lcm of neither sub-pair with the new lead equals
+    it (the B_k rule).  Of the new pairs (i, new), i live, one per lcm
+    survives, none whose lcm is a proper multiple of another's (M and F),
+    and with product_rule none of a class holding coprime leads.  Without
+    product_rule the kept and treated pairs' trivial syzygies generate the
+    syzygies of the leads, under any selection order (Gebauer and Moller,
+    1988).  Returns the surviving new pairs as a dict (i, new) -> lcm.
+    """
+    mono, comp = leads[new].monomial, leads[new].component
+    for (i, j), lcm in list(pending.items()):
+        if (
+            leads[i].component == comp
+            and mono_div(lcm, mono) is not None
+            and mono_lcm(leads[i].monomial, mono) != lcm
+            and mono_lcm(leads[j].monomial, mono) != lcm
+        ):
+            del pending[(i, j)]
+
+    classes = {}  # lcm -> [least index i, some pair of the class is coprime]
+    for i in live:
+        lt = leads[i]
+        if lt.component != comp:
+            continue
+        lcm = mono_lcm(lt.monomial, mono)
+        coprime = product_rule and lcm == mono_mul(lt.monomial, mono)
+        if lcm in classes:
+            classes[lcm][1] = classes[lcm][1] or coprime
+        else:
+            classes[lcm] = [i, coprime]
+    fresh = {}
+    for lcm, (i, coprime) in classes.items():
+        if coprime or any(
+            other != lcm and mono_div(lcm, other) is not None for other in classes
+        ):
+            continue
+        fresh[(i, new)] = lcm
+
+    _join_live(live, leads, new)
+    return fresh
 
 
-def _make_pair(i, j, leads, sugars, shifts):
-    li, lj = leads[i], leads[j]
-    if li.component != lj.component:
-        return None
-    lcm = mono_lcm(li.monomial, lj.monomial)
-    sugar = max(
-        sugars[i] + mono_degree(lcm) - mono_degree(li.monomial),
-        sugars[j] + mono_degree(lcm) - mono_degree(lj.monomial),
-    )
-    return SPair(i, j, lcm, sugar)
+def _join_live(live, leads, new):
+    """Add new to live, retiring the leads it divides: their later pairs
+    are covered through new."""
+    mono, comp = leads[new].monomial, leads[new].component
+    live[:] = [
+        i for i in live
+        if leads[i].component != comp or mono_div(leads[i].monomial, mono) is None
+    ]
+    live.append(new)
+
+
+def surviving_pairs(leads, product_rule: bool = True):
+    """Pairs (i, j) that the update keeps when the leads join in order."""
+    pending, live = {}, []
+    for new in range(len(leads)):
+        pending.update(gebauer_moller_update(pending, live, leads, new, product_rule))
+    return set(pending)
 
 
 def module_buchberger(gens, opts: BuchbergerOptions | None = None,
@@ -452,6 +496,11 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
     leads, fully tail-reduced) sorted by (degree, descending lead).  Without
     it the input generators survive, monic-scaled, as a prefix of the basis,
     which the syzygy machinery relies on.
+
+    Pairs are pruned by the Gebauer–Möller update (the coprime rule for
+    ideals only) and treated by ascending (degree, i, j) from a heap, or
+    uniformly at random with opts.select_seed.  Under opts.degree_cap the
+    loop stops at the first pair above the cap.
 
     groebner_prefix asserts that the first so-many generators are already a
     basis of what they generate, so their mutual pairs can be skipped; pass
@@ -477,17 +526,21 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
                     "generators must be homogeneous"
                 )
 
-    rank_one = module.rank == 1
+    product_rule = module.rank == 1
     rng = random.Random(opts.select_seed) if opts.select_seed is not None else None
+    track = opts.track_transform
 
     basis = []
     transform = []
     leads = []
-    sugars = []
+    pending = {}  # untreated pair (i, j) -> lcm
+    heap = []     # (pair degree, i, j); entries the update dropped are stale
+    live = []
 
-    track = opts.track_transform
+    def pair_degree(i, lcm):
+        return mono_degree(lcm) + module.shifts[leads[i].component]
 
-    def append_element(elem, row):
+    def append_element(elem, row, pair_up=True):
         lc = elem.lead_term().coeff
         if lc != field.one:
             c = field.inv(lc)
@@ -497,96 +550,42 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
         basis.append(elem)
         transform.append(row)
         leads.append(elem.lead_term())
-        sugars.append(elem.degree() if elem.is_homogeneous() else elem_total_degree(elem))
-        if opts.reduce_incrementally:
-            # keep older tails small by reducing them against the new lead;
-            # skip any element whose own lead the reduction would consume
-            new = basis[-1]
-            for k in range(len(basis) - 1):
-                div = module_divide(basis[k], [new])
-                rem = div.remainder
-                if rem.is_zero or rem == basis[k] or rem.lead_term() != basis[k].lead_term():
-                    continue
-                basis[k] = rem
-                if track:
-                    q = div.quotients[0]
-                    transform[k] = tuple(
-                        rp - q * np for rp, np in zip(transform[k], transform[-1])
-                    )
-
-    def elem_total_degree(elem):
-        return max(
-            p.total_degree() + s
-            for p, s in zip(elem.comps, module.shifts)
-            if not p.is_zero
-        )
+        new = len(basis) - 1
+        if not pair_up:
+            _join_live(live, leads, new)
+            return
+        fresh = gebauer_moller_update(pending, live, leads, new, product_rule)
+        pending.update(fresh)
+        for (i, j), lcm in fresh.items():
+            heapq.heappush(heap, (pair_degree(i, lcm), i, j))
 
     nident = len(gens)
     for idx, g in enumerate(gens):
+        row = ()
         if track:
-            row = [ring.zero()] * nident
-            row[idx] = ring.one()
-            append_element(g, tuple(row))
-        else:
-            append_element(g, ())
-
-    pending = {}
-    for j in range(len(basis)):
-        for i in range(j):
-            if j < groebner_prefix:
-                continue
-            p = _make_pair(i, j, leads, sugars, module.shifts)
-            if p is not None:
-                pending[(i, j)] = p
+            row = tuple(ring.one() if k == idx else ring.zero() for k in range(nident))
+        append_element(g, row, pair_up=idx >= groebner_prefix)
 
     complete = True
-
-    def select_pair():
-        if rng is not None:
-            k = rng.choice(sorted(pending))
-            return pending.pop(k)
-        best = min(
-            pending.values(),
-            key=lambda p: (_pair_degree(leads[p.i], leads[p.j], p.lcm, module.shifts), p.i, p.j),
-        )
-        return pending.pop((best.i, best.j))
-
+    cap = opts.degree_cap
     while pending:
         opts.check_deadline()
-        pair = select_pair()
-        i, j = pair.i, pair.j
-        li, lj = leads[i], leads[j]
-
-        if opts.degree_cap is not None:
-            if _pair_degree(li, lj, pair.lcm, module.shifts) > opts.degree_cap:
-                complete = False
+        if rng is None:
+            degree, i, j = heapq.heappop(heap)
+            if (i, j) not in pending:
                 continue
-
-        # coprime-lead criterion; valid for ideals only, where the product
-        # trick applies
-        if rank_one and pair.lcm == mono_mul(li.monomial, lj.monomial):
+        else:
+            i, j = rng.choice(sorted(pending))
+            degree = pair_degree(i, pending[(i, j)])
+        lcm = pending.pop((i, j))
+        if cap is not None and degree > cap:
+            complete = False
+            if rng is None:
+                break  # every pair left on the heap is above the cap too
             continue
 
-        # chain criterion: some other lead divides the lcm and both
-        # sub-pairs have already been handled
-        skip = False
-        for k, lk in enumerate(leads):
-            if k == i or k == j:
-                continue
-            if lk.component != li.component:
-                continue
-            if mono_div(pair.lcm, lk.monomial) is None:
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(k, j), max(k, j))
-            if a not in pending and b not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-
-        u = mono_div(pair.lcm, li.monomial)
-        v = mono_div(pair.lcm, lj.monomial)
+        u = mono_div(lcm, leads[i].monomial)
+        v = mono_div(lcm, leads[j].monomial)
         s_elem = basis[i].monomial_mul(field.one, u) - basis[j].monomial_mul(field.one, v)
         if s_elem.is_zero:
             continue
@@ -608,13 +607,7 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
             row = tuple(row)
         else:
             row = ()
-
-        new_index = len(basis)
         append_element(rem, row)
-        for k in range(new_index):
-            p = _make_pair(k, new_index, leads, sugars, module.shifts)
-            if p is not None:
-                pending[(k, new_index)] = p
 
     if opts.reduce:
         basis, transform = _interreduce(module, basis, transform)
@@ -722,42 +715,6 @@ def syzygy_module_for(elements, ambient_order: ModuleOrder | None = None) -> Fre
     return FreeModule(module.ring, shifts, order)
 
 
-def _chain_filtered_pairs(leads):
-    """Pair set that still generates the trivial-syzygy module.
-
-    Drops (i, j) when a third lead divides their lcm and both sub-lcms are
-    proper divisors; the identity
-    t_ij = (L/L_ik) t_ik + (L/L_kj) t_kj makes the dropped pair redundant,
-    and proper divisibility keeps the recursion well-founded.  The coprime
-    shortcut is *not* applied: those trivial syzygies are needed."""
-    alive = set()
-    by_lcm = []
-    for j in range(len(leads)):
-        for i in range(j):
-            if leads[i].component != leads[j].component:
-                continue
-            alive.add((i, j))
-            by_lcm.append((i, j, mono_lcm(leads[i].monomial, leads[j].monomial)))
-    by_lcm.sort(key=lambda t: -mono_degree(t[2]))
-    for i, j, lcm in by_lcm:
-        for k in range(len(leads)):
-            if k in (i, j) or leads[k].component != leads[i].component:
-                continue
-            if mono_div(lcm, leads[k].monomial) is None:
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(k, j), max(k, j))
-            if a not in alive or b not in alive:
-                continue
-            if mono_lcm(leads[a[0]].monomial, leads[a[1]].monomial) == lcm:
-                continue
-            if mono_lcm(leads[b[0]].monomial, leads[b[1]].monomial) == lcm:
-                continue
-            alive.discard((i, j))
-            break
-    return alive
-
-
 def _syzygies_of_basis(basis_elements, check_lead: bool = True, pair_subset=None):
     """Syzygies of a Groebner basis via the Schreyer construction.
 
@@ -814,13 +771,7 @@ def syzygy_generators(elements, opts: BuchbergerOptions | None = None,
     nonzero rows of (Id - Q T).  Any relation h among the inputs splits as
     h = h (Id - Q T) + (h Q) T with h Q a syzygy of F, so these generate.
     """
-    run = opts or BuchbergerOptions()
-    run = BuchbergerOptions(
-        reduce=True,
-        degree_cap=run.degree_cap,
-        select_seed=run.select_seed,
-        deadline=run.deadline,
-    )
+    run = replace(opts or BuchbergerOptions(), reduce=True, track_transform=True)
     basis = module_buchberger(elements, run)
     if not basis.complete:
         raise CapInterrupted("degree cap interrupted the completion")
@@ -838,7 +789,7 @@ def syzygy_generators(elements, opts: BuchbergerOptions | None = None,
 
     ring = felems[0].module.ring
     target = syzygy_module_for(elements)
-    pairs = _chain_filtered_pairs([e.lead_term() for e in felems])
+    pairs = surviving_pairs([e.lead_term() for e in felems], product_rule=False)
     out = []
     for s in _syzygies_of_basis(felems, pair_subset=pairs):
         comps = [ring.zero()] * target.rank
@@ -923,14 +874,7 @@ def minimalize_generators(items, opts: BuchbergerOptions | None = None):
         if not e.is_homogeneous():
             raise ValueError("minimal generators need homogeneous input")
 
-    base = opts or BuchbergerOptions()
-    run = BuchbergerOptions(
-        reduce=False,
-        degree_cap=base.degree_cap,
-        select_seed=base.select_seed,
-        deadline=base.deadline,
-        track_transform=False,
-    )
+    run = replace(opts or BuchbergerOptions(), reduce=False, track_transform=False)
     order = sorted(range(len(elements)), key=lambda i: (elements[i].degree(), i))
     kept = []
     working = []

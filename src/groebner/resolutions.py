@@ -163,24 +163,17 @@ def free_resolution(gens, minimal: bool = True, opts: BuchbergerOptions | None =
     for g in gens:
         if not g.is_homogeneous():
             raise ValueError("resolutions need homogeneous input")
-    opts = opts or BuchbergerOptions()
-
-    current = minimalize_generators(gens) if minimal else list(gens)
+    current = minimalize_generators(gens, opts) if minimal else list(gens)
     steps = [current]
     max_steps = ring.nvars + 1
     for _ in range(max_steps + 1):
-        run = BuchbergerOptions(
-            degree_cap=opts.degree_cap,
-            select_seed=opts.select_seed,
-            deadline=opts.deadline,
-        )
         try:
-            pushed = syzygy_generators(current, run, lex_sort=True)
+            pushed = syzygy_generators(current, opts, lex_sort=True)
         except CapInterrupted:
             return FreeResolution(ring, steps, minimal, complete=False)
         if not pushed:
             break
-        nxt = minimalize_generators(pushed, run) if minimal else pushed
+        nxt = minimalize_generators(pushed, opts) if minimal else pushed
         if not nxt:
             break
         steps.append(nxt)

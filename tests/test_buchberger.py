@@ -12,12 +12,12 @@ from groebner import (
     divide,
     is_groebner,
     normal_form,
-    pair_filter,
 )
-from groebner.buchberger import BuchbergerOptions, SPair
+from groebner.buchberger import BuchbergerOptions
 from groebner.ideals import initial_ideal
+from groebner.modules import ModuleTerm, surviving_pairs
 from groebner.oracle import ideal_dim_in_degree
-from groebner.poly import mono_divides, mono_lcm
+from groebner.poly import mono_divides
 
 
 def test_twisted_cubic_lex_basis(cubic_lex):
@@ -108,13 +108,6 @@ def test_reduced_basis_same_from_either_presentation(cubic_lex):
     assert again.elements == gb.elements
 
 
-def test_incremental_tail_reduction_matches_final(cubic_lex):
-    ring, gens = cubic_lex
-    a = buchberger(gens, opts=BuchbergerOptions(reduce_incrementally=True))
-    b = buchberger(gens)
-    assert a.elements == b.elements
-
-
 def test_normal_form_invariant_under_permutation(cubic_lex):
     import itertools
     import random
@@ -143,34 +136,27 @@ def test_hilbert_agreement_with_oracle(cubic_lex):
 # pair criteria
 # ---------------------------------------------------------------------------
 
-def _pairs(leads):
-    out = []
-    for j in range(len(leads)):
-        for i in range(j):
-            out.append(SPair(i, j, mono_lcm(leads[i], leads[j]), 0))
-    return out
+def _surviving(leads):
+    return surviving_pairs([ModuleTerm(1, m, 0) for m in leads])
 
 
 def test_pair_filter_drops_coprime():
     leads = [(2, 0), (0, 2)]
-    kept = pair_filter(_pairs(leads), leads)
-    assert kept == []
+    assert _surviving(leads) == set()
 
 
 def test_pair_filter_keeps_twisted_cubic_pairs():
     leads = [(2, 0, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)]  # w2, wy, wz
-    kept = pair_filter(_pairs(leads), leads)
-    assert {(p.i, p.j) for p in kept} == {(0, 1), (0, 2), (1, 2)}
+    assert _surviving(leads) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_pair_filter_chain_drop():
     leads = [(2, 0), (1, 1), (0, 2)]  # x2, xy, y2: middle lead divides lcm(0,2)
-    kept = pair_filter(_pairs(leads), leads)
-    assert {(p.i, p.j) for p in kept} == {(0, 1), (1, 2)}
+    assert _surviving(leads) == {(0, 1), (1, 2)}
 
 
 def test_pair_filter_empty():
-    assert pair_filter([], []) == []
+    assert _surviving([]) == set()
 
 
 def test_filtered_and_unfiltered_runs_agree(cubic_lex):

@@ -22,14 +22,12 @@ from groebner import (
     membership,
     module_buchberger,
     monomials_of_degree,
-    pair_filter,
     staged_flat_family,
     weight_order,
 )
-from groebner.buchberger import SPair
 from groebner.ideals import initial_ideal
 from groebner.modules import is_module_groebner
-from groebner.poly import mono_divides, mono_lcm
+from groebner.poly import mono_divides
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,35 @@ def test_sat_defect_examples(cubic_lex):
     assert sat_defect([R3.one()], seed=1).total == 0
 
 
+def test_sat_defect_passes_its_options_to_every_completion(monkeypatch):
+    import sys
+    import time
+
+    from groebner import modules
+    from groebner.buchberger import BuchbergerOptions
+
+    # the package's buchberger() function shadows its submodule's name
+    buchberger_module = sys.modules["groebner.buchberger"]
+
+    deadline = time.monotonic() + 3600.0
+    seen = []
+    inner = modules.module_buchberger
+
+    def spy(gens, opts=None, *args, **kwargs):
+        seen.append(None if opts is None else opts.deadline)
+        return inner(gens, opts, *args, **kwargs)
+
+    # every binding through which the package reaches the engine
+    monkeypatch.setattr(modules, "module_buchberger", spy)
+    monkeypatch.setattr(buchberger_module, "module_buchberger", spy)
+    R = PolynomialRing(GF(32003), ["x0", "x1", "x2"], GREVLEX)
+    x0, x1, x2 = R.variables()
+    sd = sat_defect([x0 * x0, x0 * x1, x1 * x2 * x2], seed=3,
+                    opts=BuchbergerOptions(deadline=deadline))
+    assert sd.within_bound
+    assert seen and all(d == deadline for d in seen)
+
+
 def test_full_saturation_respects_components():
     # (x1^2, x1 x2) in three variables is already saturated: the embedded
     # prime is (x1, x2), not the irrelevant ideal
