@@ -146,6 +146,16 @@ def _strip_variable(f: Polynomial, var_index: int) -> Polynomial:
     )
 
 
+def _saturate_last(gens, opts: BuchbergerOptions | None = None) -> tuple:
+    """(grevlex basis of (I : x_n^infinity), largest x_n power stripped);
+    x_n to that power maps the saturation back into I."""
+    ring = gens[0].ring.with_order(GREVLEX)
+    gb = _complete_basis([g.reorder(ring) for g in gens], opts=opts)
+    last = ring.nvars - 1
+    sat = _complete_basis([_strip_variable(f, last) for f in gb.elements], opts=opts)
+    return sat, max(min(t.monomial[last] for t in f.terms) for f in gb.elements)
+
+
 def saturate_variable(gens, opts: BuchbergerOptions | None = None):
     """Reduced grevlex basis of (I : x_n^infinity) for the last variable.
 
@@ -156,11 +166,7 @@ def saturate_variable(gens, opts: BuchbergerOptions | None = None):
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
-    ring = gens[0].ring.with_order(GREVLEX)
-    work = [g.reorder(ring) for g in gens]
-    gb = _complete_basis(work, opts=opts)
-    stripped = [_strip_variable(f, ring.nvars - 1) for f in gb.elements]
-    return list(_complete_basis(stripped, opts=opts).elements)
+    return list(_saturate_last(gens, opts)[0].elements)
 
 
 def ideal_quotient(gens, f: Polynomial, opts: BuchbergerOptions | None = None):
@@ -338,25 +344,25 @@ def membership(g: Polynomial, gens, opts: BuchbergerOptions | None = None) -> Me
         return _finish_certificate(coeffs)
 
     # affine route: homogenize, saturate out the homogenizer, then search
-    # for the power of it that division needs
+    # for the power of it that division needs; u^e maps the saturation into
+    # the homogenized ideal, so the search ends by the stripped power e
     hring, hgens, hmap = homogenize([f for f in gens if not f.is_zero])
     gh = homogenize_polynomial(g, hring)
-    sat = saturate_variable(hgens, opts=opts)
-    sat_gb = _complete_basis(sat, opts=opts) if sat else None
-    if sat_gb is None or not sat_gb.contains(gh.reorder(sat_gb.ring)):
+    sat_gb, e = _saturate_last(hgens, opts=opts)
+    if not sat_gb.contains(gh.reorder(sat_gb.ring)):
         return MembershipCertificate(False, (), None)
 
     gb = _complete_basis(hgens, opts=opts)
     u = gb.ring.variable(gb.ring.nvars - 1)
     power = gb.ring.one()
-    for _ in range(2048):
+    for _ in range(e + 1):
         div = divide((gh.reorder(gb.ring)) * power, gb.elements)
         if div.remainder.is_zero:
             hcoeffs = _combine_certificate(div.quotients, gb, gb.ring, hgens)
             coeffs = tuple(dehomogenize_polynomial(c, ring) for c in hcoeffs)
             return _finish_certificate(coeffs)
         power = power * u
-    raise RuntimeError("homogenizer power search did not stabilize")
+    raise AssertionError(f"a saturation member needed more than u^{e}")
 
 
 def _combine_certificate(quotients, gb: GroebnerBasis, ring, gens):

@@ -1,11 +1,12 @@
-"""Brute-force ground truth via degree-truncated linear algebra.
+"""Degree-truncated linear algebra: Macaulay matrices and one sparse echelon.
 
 A Macaulay matrix in degree d has one row per monomial multiple of a
 generator landing in degree d and one column per degree-d monomial.  Its
 row space is the degree-d slice of the ideal, so ranks answer dimension and
 membership questions without any Groebner machinery.  Everything here is
-exact Gaussian elimination with first-nonzero pivoting; this module is a
-test instrument, so it stays deliberately simple.
+exact Gaussian elimination with first-nonzero pivoting.  The tests use it
+as ground truth; the generic-forms regularity test grows an ``Echelon``
+row by row, since it needs nothing but ranks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .poly import Polynomial, PolynomialRing, mono_mul
 __all__ = [
     "MacaulayMatrix", "macaulay_matrix", "monomials_of_degree",
     "ideal_dim_in_degree", "membership_in_degree", "initial_ideal_in_degree",
-    "row_reduce", "rank_of_rows", "invert_matrix",
+    "row_reduce", "Echelon", "rank_of_rows", "invert_matrix",
 ]
 
 DEFAULT_CELL_BUDGET = 4_000_000
@@ -57,13 +58,6 @@ class MacaulayMatrix:
     @property
     def column_index(self):
         return {m: i for i, m in enumerate(self.columns)}
-
-
-def coefficient_vector(f: Polynomial, column_index) -> list:
-    vec = [f.ring.field.zero] * len(column_index)
-    for t in f.terms:
-        vec[column_index[t.monomial]] = t.coeff
-    return vec
 
 
 def macaulay_matrix(gens, d: int, order: OrderSpec | None = None,
@@ -136,31 +130,58 @@ def row_reduce(rows, field):
     return pivots
 
 
-def rank_of_rows(rows, field) -> int:
-    """Rank by forward elimination on sparse copies; the input is untouched.
+class Echelon:
+    """Row echelon form grown one sparse row ``{column: coeff}`` at a time.
 
-    A rank needs no reduced echelon form, so each row is reduced only at its
-    leading column against the pivot rows kept so far.
+    A row is reduced only at its leading (smallest) column against the
+    pivot rows kept so far, so a rank needs no back-substitution.  Stored
+    pivot rows are normalized to lead 1 and never mutated, which makes
+    ``copy`` a copy of the pivot dictionary alone.
     """
-    zero = field.zero
-    pivots = {}  # leading column -> sparse row, normalized to lead 1
-    for dense in rows:
-        row = {c: x for c, x in enumerate(dense) if x != 0}
+
+    def __init__(self, field, pivots=None):
+        self.field = field
+        self.pivots = {} if pivots is None else pivots  # lead column -> row
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def copy(self) -> "Echelon":
+        return Echelon(self.field, dict(self.pivots))
+
+    def add(self, row: dict) -> bool:
+        """Reduce the row, which is consumed; keep it and return True when
+        it raised the rank.
+
+        Over F_p only leads and stored rows are taken mod p: the other
+        entries may grow while the row is reduced, and an entry that
+        cancelled is dropped when it comes up as the lead.
+        """
+        pivots, p = self.pivots, self.field.modulus
         while row:
             c = min(row)
+            f = row[c] % p if p else row[c]
+            if not f:
+                del row[c]
+                continue
             pivot = pivots.get(c)
             if pivot is None:
-                inv = field.inv(row[c])
-                pivots[c] = {k: field.mul(inv, x) for k, x in row.items()}
-                break
-            factor = row[c]
+                inv = self.field.inv(f)
+                pivots[c] = {k: v for k, x in row.items() if (v := x * inv % p if p else x * inv)}
+                return True
             for k, y in pivot.items():
-                x = field.sub(row.get(k, zero), field.mul(factor, y))
-                if x != 0:
-                    row[k] = x
-                else:
-                    del row[k]
-    return len(pivots)
+                row[k] = row.get(k, 0) - f * y
+            del row[c]
+        return False
+
+
+def rank_of_rows(rows, field) -> int:
+    """Rank of dense rows through an ``Echelon``; the input is untouched."""
+    echelon = Echelon(field)
+    for dense in rows:
+        echelon.add({c: x for c, x in enumerate(dense) if x != 0})
+    return echelon.rank
 
 
 def ideal_dim_in_degree(gens, d: int, max_cells: int = DEFAULT_CELL_BUDGET) -> int:
@@ -183,9 +204,11 @@ def membership_in_degree(g: Polynomial, gens) -> bool:
         return False
     d = g.total_degree()
     mat = macaulay_matrix(gens, d)
-    base = rank_of_rows(mat.rows, mat.ring.field)
-    extended = mat.rows + [coefficient_vector(g, mat.column_index)]
-    return rank_of_rows(extended, mat.ring.field) == base
+    echelon = Echelon(mat.ring.field)
+    for row in mat.rows:
+        echelon.add({c: x for c, x in enumerate(row) if x != 0})
+    index = mat.column_index
+    return not echelon.add({index[t.monomial]: t.coeff for t in g.terms})
 
 
 def initial_ideal_in_degree(gens, d: int, order: OrderSpec | None = None) -> list:

@@ -9,7 +9,8 @@ makes the resulting Betti numbers intrinsic.
 Regularity is read off the minimal resolution as the largest shift minus
 homological step, with the resolved object sitting at step 0.  The
 randomized test checks the same number through the lift-and-quotient chain
-on generic linear forms, using degree-truncated linear algebra only.
+on generic linear forms, using degree-truncated linear algebra only: one
+sparse echelon per degree, in which each row is reduced once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .modules import (
     minimalize_generators,
     syzygy_generators,
 )
-from .oracle import monomials_of_degree, rank_of_rows
+from .oracle import Echelon, monomials_of_degree
 from .poly import Polynomial, mono_degree, mono_mul
 
 __all__ = [
@@ -197,25 +198,11 @@ def regularity(res: FreeResolution) -> int:
 # randomized regularity test
 # ---------------------------------------------------------------------------
 
-def _degree_rows(gens, d, basis_index):
-    """Coefficient rows spanning the degree-d slice of the ideal."""
-    rows = []
-    nvars = gens[0].ring.nvars
-    zero = gens[0].ring.field.zero
-    for g in gens:
-        dg = g.total_degree()
-        if dg > d or g.is_zero:
-            continue
-        for m in monomials_of_degree(nvars, d - dg):
-            vec = [zero] * len(basis_index)
-            for t in g.terms:
-                vec[basis_index[mono_mul(t.monomial, m)]] = t.coeff
-            rows.append(vec)
-    return rows
-
-
-def _rank(rows, field):
-    return rank_of_rows(rows, field) if rows else 0
+def _multiple_rows(f, monos, index):
+    """Sparse rows of f * mono, one per mono, over the column index."""
+    terms = [(t.monomial, t.coeff) for t in f.terms]
+    for mono in monos:
+        yield {index[mono_mul(e, mono)]: c for e, c in terms}
 
 
 def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0) -> str:
@@ -228,6 +215,12 @@ def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0) -> str:
     m-regularity.  A failure is order-independent when it comes from the
     generator degrees; otherwise all trials must fail, which is conclusive
     over a large field because passing forms fill a Zariski-open set.
+
+    Both slices live in sparse echelons: the ideal's multiples are reduced
+    once per call, and each trial grows copies of them, so every row is
+    reduced once.  The rows y_j * S_m that detect the colon are exactly the
+    rows y_j adds to the degree-(m+1) slice, so their rank gain gives the
+    colon's dimension and they stay for the next form.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -250,10 +243,16 @@ def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0) -> str:
 
     nvars = ring.nvars
     basis_m = monomials_of_degree(nvars, m)
-    basis_m1 = monomials_of_degree(nvars, m + 1)
+    basis_below = monomials_of_degree(nvars, m - 1)
     index_m = {mono: i for i, mono in enumerate(basis_m)}
-    index_m1 = {mono: i for i, mono in enumerate(basis_m1)}
+    index_m1 = {mono: i for i, mono in enumerate(monomials_of_degree(nvars, m + 1))}
     dim_sm = len(basis_m)
+
+    ideal_m, ideal_m1 = Echelon(field), Echelon(field)
+    for g in gens:
+        for echelon, d, index in ((ideal_m, m, index_m), (ideal_m1, m + 1, index_m1)):
+            for row in _multiple_rows(g, monomials_of_degree(nvars, d - g.total_degree()), index):
+                echelon.add(row)
 
     for trial in range(trials):
         rng = random.Random(seed * 1000003 + trial)
@@ -270,41 +269,23 @@ def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0) -> str:
                 )
             )
 
-        span = list(gens)
-        rows_m = _degree_rows(span, m, index_m)
-        rows_m1 = _degree_rows(span, m + 1, index_m1)
-        rank_m = _rank(rows_m, field)
-        rank_m1 = _rank(rows_m1, field)
+        span_m, span_m1 = ideal_m.copy(), ideal_m1.copy()
         passed = None
         for y in ys:
-            if rank_m == dim_sm:
+            if span_m.rank == dim_sm:
                 passed = True
                 break
-            # dim of {f in S_m : y*f in U_{m+1}} via a stacked rank
-            mult_rows = [
-                _poly_vector(y.monomial_mul(field.one, mono), index_m1)
-                for mono in basis_m
-            ]
-            stacked = rows_m1 + mult_rows
-            colon_dim = dim_sm - (_rank(stacked, field) - rank_m1)
-            if colon_dim != rank_m:
+            # dim of {f in S_m : y*f in U_{m+1}} is dim S_m minus the rank
+            # that y * S_m adds to U_{m+1}
+            gain = sum(span_m1.add(row) for row in _multiple_rows(y, basis_m, index_m1))
+            if dim_sm - gain != span_m.rank:
                 passed = False
                 break
-            span = span + [y]
-            rows_m = rows_m + _degree_rows([y], m, index_m)
-            rows_m1 = rows_m1 + _degree_rows([y], m + 1, index_m1)
-            rank_m = _rank(rows_m, field)
-            rank_m1 = _rank(rows_m1, field)
+            for row in _multiple_rows(y, basis_below, index_m):
+                span_m.add(row)
         if passed is None:
-            passed = rank_m == dim_sm
+            passed = span_m.rank == dim_sm
         if passed:
             return REGULAR
 
     return INCONCLUSIVE if small_field else NOT_REGULAR
-
-
-def _poly_vector(f, index):
-    vec = [f.ring.field.zero] * len(index)
-    for t in f.terms:
-        vec[index[t.monomial]] = t.coeff
-    return vec

@@ -1,5 +1,6 @@
 """The Macaulay-matrix instrument itself."""
 
+import random
 from math import comb
 
 import pytest
@@ -18,7 +19,13 @@ from groebner import (
     monomials_of_degree,
     random_ideal,
 )
-from groebner.oracle import invert_matrix, macaulay_matrix, rank_of_rows, row_reduce
+from groebner.oracle import (
+    Echelon,
+    invert_matrix,
+    macaulay_matrix,
+    rank_of_rows,
+    row_reduce,
+)
 
 
 def test_monomial_enumeration_counts():
@@ -83,6 +90,30 @@ def test_rank_and_inverse_helpers():
             rank = rank_of_rows(mat.rows, field)
             assert mat.rows == before
             assert rank == len(row_reduce(before, field))
+    # the echelon fed row by row: its rank gains add up to the dense rank,
+    # and a copy grows apart from the echelon it was taken from
+    rng = random.Random(17)
+    for field in (F, GF(32003), QQ):
+        for _ in range(20):
+            ncols = rng.randint(1, 12)
+            rows = [
+                [field.normalize(rng.randint(1, 40)) if rng.random() < 0.3 else field.zero
+                 for _ in range(ncols)]
+                for _ in range(rng.randint(1, 12))
+            ]
+            before = [list(r) for r in rows]
+            echelon = Echelon(field)
+            gains = sum(echelon.add({c: x for c, x in enumerate(r) if x != 0}) for r in rows)
+            rank = len(row_reduce([list(r) for r in rows], field))
+            assert gains == echelon.rank == rank
+            assert rank_of_rows(rows, field) == rank
+            assert rows == before
+            pivots = {c: dict(r) for c, r in echelon.pivots.items()}
+            grown = echelon.copy()
+            for c in range(ncols):
+                grown.add({c: field.one})
+            assert grown.rank == ncols
+            assert echelon.pivots == pivots and echelon.rank == rank
     inv = invert_matrix([[1, 1], [0, 1]], F)
     assert inv == [[1, 6], [0, 1]]
     assert invert_matrix([[1, 1], [1, 1]], F) is None

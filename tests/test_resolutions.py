@@ -1,5 +1,6 @@
 """Free resolutions, Betti tables, regularity, and the randomized test."""
 
+import tracemalloc
 from math import comb
 
 import pytest
@@ -161,12 +162,31 @@ def test_bs_single_variable():
 
 
 def test_bs_agrees_with_resolution_on_seeds():
-    for seed in (11, 12, 13):
-        ring, gens = random_ideal(seed, 3, 2, 2)
-        changed, _ = generic_change(gens, seed=seed + 100)
-        reg = regularity(free_resolution(changed))
-        assert bayer_stillman_test(changed, reg, seed=seed) == REGULAR
-        assert bayer_stillman_test(changed, reg - 1, seed=seed) == NOT_REGULAR
+    # over QQ the failing verdicts run every trial through the rational
+    # branch of the echelon
+    for field in (GF(32003), QQ):
+        for seed in (11, 12, 13):
+            ring, gens = random_ideal(seed, 3, 2, 2, field=field)
+            changed, _ = generic_change(gens, seed=seed + 100)
+            reg = regularity(free_resolution(changed))
+            assert bayer_stillman_test(changed, reg, seed=seed) == REGULAR
+            assert bayer_stillman_test(changed, reg - 1, seed=seed) == NOT_REGULAR
+
+
+def test_bs_keeps_rows_sparse_in_many_variables():
+    # eleven variables: degree-4 rows have 1001 columns, so dense rows of
+    # every multiple would take tens of MiB
+    ring = PolynomialRing(GF(32003), [f"x{i}" for i in range(11)], GREVLEX)
+    xs = ring.variables()
+    gens = xs[:10] + [xs[10] ** 3]
+    tracemalloc.start()
+    try:
+        verdicts = (bayer_stillman_test(gens, 3), bayer_stillman_test(gens, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdicts == (REGULAR, NOT_REGULAR)
+    assert peak < 4 * 2**20
 
 
 def test_bs_small_field_guard():
