@@ -1,4 +1,4 @@
-"""Pinned outputs of the engine: canonical bases, Betti tables, CLI results.
+"""Pinned outputs of the engine: canonical bases, Betti tables, CLI runs.
 
 Every value here is canonical (a reduced basis, a Betti table, a Hilbert
 function), so any correct change to the completion engine must leave it
@@ -36,15 +36,37 @@ F = GF(32003)
 SUITE = [(1000 + k, 3 + k % 2, 2 + k % 3, 1 + k % 3) for k in range(6)]
 RESOLVED = [0, 1, 2, 4]          # suite positions whose resolutions are pinned
 TOWER_CAP = 6
-CLI_RUNS = {
-    "gb": ["gb", "--json", CUBIC],
-    "gb_lex": ["gb", "--order", "lex", "--json", CUBIC],
-    "resolve": ["resolve", "--json", CUBIC],
-    "betti": ["betti", "--json", CUBIC],
-    "hilbert": ["hilbert", "--dmax", "8", "--json", CUBIC],
-    "inideal": ["inideal", "--json", CUBIC],
-    "inideal_lex": ["inideal", "--order", "lex", "--json", CUBIC],
+EMBEDDED = str(DATA / "embedded.id")
+# name -> (flags, file): every file command, run once with --json (under the
+# name) and once as text (name + "_text"); stdout, the JSON without its
+# timings, and the exit code are pinned
+CLI_COMMANDS = {
+    "gb": (["gb"], CUBIC),
+    "gb_lex": (["gb", "--order", "lex"], CUBIC),
+    "gb_lex_cap2": (["gb", "--order", "lex", "--degree-cap", "2"], CUBIC),
+    "reduce": (["reduce", "--poly", "w^3 + x*z^2"], CUBIC),
+    "member": (["member", "--poly", "x*z^2 - y^3"], CUBIC),
+    "member_not": (["member", "--poly", "w*x"], CUBIC),
+    "eliminate": (["eliminate", "--keep", "x", "--order", "lex"], CUBIC),
+    "eliminate_unknown": (["eliminate", "--keep", "q"], CUBIC),
+    "saturate": (["saturate"], EMBEDDED),
+    "quotient": (["quotient", "--poly", "z"], EMBEDDED),
+    "hilbert": (["hilbert", "--dmax", "8"], CUBIC),
+    "resolve": (["resolve"], CUBIC),
+    "resolve_cap2": (["resolve", "--degree-cap", "2"], CUBIC),
+    "betti": (["betti"], CUBIC),
+    "regularity": (["regularity"], EMBEDDED),
+    "inideal": (["inideal"], CUBIC),
+    "inideal_lex": (["inideal", "--order", "lex"], CUBIC),
+    "borel": (["borel", "--order", "lex"], CUBIC),
+    "satdefect": (["satdefect", "--seed", "5"], EMBEDDED),
+    "degenerate": (["degenerate", "--weights=-16,-4,-1,0", "--order", "lex"], CUBIC),
+    "bs_regular": (["bs-regular", "--m", "2", "--field", "Fp:32003", "--seed", "1"], CUBIC),
 }
+CLI_RUNS = {"mayr_meyer_text": ["mayr-meyer", "-n", "1", "--homogeneous"]}
+for _name, (_flags, _file) in CLI_COMMANDS.items():
+    CLI_RUNS[_name] = [*_flags, "--json", _file]
+    CLI_RUNS[_name + "_text"] = [*_flags, _file]
 
 
 def _suite_ideal(pos):
@@ -56,12 +78,18 @@ def _basis(gens, order=None, **opts):
     return [str(f) for f in buchberger(gens, order=order, **opts).elements]
 
 
-def _cli_result(argv):
+def _cli_run(argv):
+    """Exit code and stdout of one run; a JSON payload is parsed and its
+    timings, the only field that varies between runs, are dropped."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         rc = main(argv)
-    assert rc == 0
-    return json.loads(out.getvalue())["result"]
+    run = {"exit": rc, "stdout": out.getvalue()}
+    if "--json" in argv and run["stdout"]:
+        payload = json.loads(run.pop("stdout"))
+        assert set(payload.pop("timings")) == {"compute"}
+        run["json"] = payload
+    return run
 
 
 def _tower_basis():
@@ -80,7 +108,7 @@ def generate():
         "lex": [_basis(_suite_ideal(p), LEX) for p in range(len(SUITE))],
         "tower2_cap6": _tower_basis(),
         "resolutions": {str(p): _resolution(p) for p in RESOLVED},
-        "cli": {name: _cli_result(argv) for name, argv in CLI_RUNS.items()},
+        "cli": {name: _cli_run(argv) for name, argv in CLI_RUNS.items()},
     }
 
 
@@ -109,7 +137,7 @@ def test_betti_tables_and_regularity(golden, pos):
 
 @pytest.mark.parametrize("name", sorted(CLI_RUNS))
 def test_cli_results(golden, name):
-    assert _cli_result(CLI_RUNS[name]) == golden["cli"][name]
+    assert _cli_run(CLI_RUNS[name]) == golden["cli"][name]
 
 
 if __name__ == "__main__":
