@@ -23,7 +23,7 @@ from .poly import (
     mono_degree,
     mono_divides,
 )
-from .resolutions import free_resolution, regularity
+from .resolutions import _complete_resolution, regularity
 
 __all__ = [
     "MonomialIdeal", "initial_ideal", "eliminate", "saturate_variable",
@@ -280,7 +280,6 @@ def hilbert_function(ideal, d_max: int) -> list:
     else:
         gens = [g for g in ideal if not g.is_zero]
         if not gens:
-            ring = None
             raise ValueError("pass a MonomialIdeal or nonzero generators")
         for g in gens:
             if not g.is_homogeneous():
@@ -545,10 +544,7 @@ def sat_defect(gens, seed: int = 0, opts: BuchbergerOptions | None = None) -> Sa
     if any(g.total_degree() == 0 for g in gens):
         return SatDefect(0, {}, 0, 0)
 
-    res = free_resolution(gens, opts=opts)
-    if not res.complete:
-        raise CapInterrupted("degree cap interrupted the resolution")
-    reg = regularity(res)
+    reg = regularity(_complete_resolution(gens, opts=opts))
     sat = saturation(gens, seed=seed, opts=opts)
     cap = max(reg, 0)
     h_i = hilbert_function(initial_ideal(gens, opts=opts), cap)

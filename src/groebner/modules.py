@@ -620,14 +620,14 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
 
 def _interreduce(module, basis, transform):
     """Minimal leads, full tail reduction, canonical sort."""
-    order = module.order
-    idxs = sorted(
-        range(len(basis)),
-        key=lambda i: (
-            mono_degree(basis[i].lead_term().monomial) + module.shifts[basis[i].lead_term().component],
-            tuple(_neg_key(order.key(basis[i].lead_term().monomial, basis[i].lead_term().component))),
-        ),
-    )
+    def key(elem):
+        lt = elem.lead_term()
+        return (
+            mono_degree(lt.monomial) + module.shifts[lt.component],
+            tuple(_neg_key(module.order.key(lt.monomial, lt.component))),
+        )
+
+    idxs = sorted(range(len(basis)), key=lambda i: key(basis[i]))
     kept = []
     for i in idxs:
         lt = basis[i].lead_term()
@@ -658,14 +658,7 @@ def _interreduce(module, basis, transform):
             reduced_elements.append(elem)
             reduced_rows.append(rows[pos])
 
-    paired = sorted(
-        zip(reduced_elements, reduced_rows),
-        key=lambda er: (
-            mono_degree(er[0].lead_term().monomial)
-            + module.shifts[er[0].lead_term().component],
-            tuple(_neg_key(module.order.key(er[0].lead_term().monomial, er[0].lead_term().component))),
-        ),
-    )
+    paired = sorted(zip(reduced_elements, reduced_rows), key=lambda er: key(er[0]))
     elements = [e for e, _ in paired]
     rows = [r for _, r in paired]
     return elements, rows
@@ -715,7 +708,7 @@ def syzygy_module_for(elements, ambient_order: ModuleOrder | None = None) -> Fre
     return FreeModule(module.ring, shifts, order)
 
 
-def _syzygies_of_basis(basis_elements, check_lead: bool = True, pair_subset=None):
+def _syzygies_of_basis(basis_elements, pair_subset=None):
     """Syzygies of a Groebner basis via the Schreyer construction.
 
     With all pairs (the default) the output is a Groebner basis of the
@@ -753,10 +746,9 @@ def _syzygies_of_basis(basis_elements, check_lead: bool = True, pair_subset=None
                 if not q.is_zero:
                     q_elem = q_elem + _scale(m1.basis_element(k), q)
             syz = t_ij - q_elem
-            if check_lead:
-                assert syz.lead_term()[1:] == t_ij.lead_term()[1:], (
-                    "syzygy lead drifted from the trivial syzygy lead"
-                )
+            assert syz.lead_term()[1:] == t_ij.lead_term()[1:], (
+                "syzygy lead drifted from the trivial syzygy lead"
+            )
             out.append(syz)
     return out
 

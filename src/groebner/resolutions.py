@@ -185,6 +185,15 @@ def free_resolution(gens, minimal: bool = True, opts: BuchbergerOptions | None =
     return FreeResolution(ring, steps, minimal)
 
 
+def _complete_resolution(gens, opts: BuchbergerOptions | None = None) -> FreeResolution:
+    """Minimal resolution, or CapInterrupted: a truncated one has no Betti
+    table or regularity to read."""
+    res = free_resolution(gens, opts=opts)
+    if not res.complete:
+        raise CapInterrupted("degree cap interrupted the resolution")
+    return res
+
+
 def regularity(res: FreeResolution) -> int:
     """Largest shift minus homological step across a minimal resolution."""
     if not res.minimal:

@@ -1,6 +1,9 @@
 """The text format and the command-line wrappers."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from groebner.parser import (
     print_ideal_file,
 )
 
+ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
 CUBIC = str(DATA / "twisted_cubic.id")
 
@@ -124,6 +128,43 @@ def test_degree_cap_exit_code(capsys):
     rc = main(["gb", "--order", "lex", "--degree-cap", "2", CUBIC])
     capsys.readouterr()
     assert rc == 2
+
+
+def test_hilbert_honors_degree_cap(capsys):
+    rc = main(["hilbert", "--dmax", "5", "--degree-cap", "1", CUBIC])
+    assert rc == 2
+    assert "degree cap reached" in capsys.readouterr().err
+
+
+def test_hilbert_rejects_inhomogeneous_input(tmp_path, capsys):
+    f = tmp_path / "affine.id"
+    f.write_text("field QQ\nring x y\nf = x^2 - y\n")
+    rc = main(["hilbert", "--dmax", "4", str(f)])
+    assert rc == 1
+    assert "homogeneous" in capsys.readouterr().err
+
+
+def test_flags_are_registered_only_where_read(capsys):
+    with pytest.raises(SystemExit):
+        main(["gb", "--seed", "1", CUBIC])
+    with pytest.raises(SystemExit):
+        main(["bs-regular", "--m", "2", "--degree-cap", "3", CUBIC])
+    capsys.readouterr()
+
+
+def test_module_entry_point_in_a_subprocess():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def run(*flags):
+        argv = [sys.executable, "-m", "groebner.cli", "gb", "--order", "lex", *flags, CUBIC]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+
+    done = run()
+    assert done.returncode == 0
+    assert done.stdout == (DATA / "twisted_cubic.gb.lex.golden").read_text()
+    capped = run("--degree-cap", "2")
+    assert capped.returncode == 2
+    assert "basis is partial" in capped.stderr
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
