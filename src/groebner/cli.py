@@ -21,7 +21,7 @@ from .buchberger import BuchbergerOptions, buchberger
 from .degeneration import family_from_generators, flat_family, flatness_check
 from .division import normal_form
 from .families import mayr_meyer
-from .fields import Field, GF, QQ
+from .fields import Field, GF
 from .ideals import (
     MonomialIdeal,
     _complete_basis,
@@ -36,7 +36,15 @@ from .ideals import (
 )
 from .modules import CapInterrupted
 from .orders import GREVLEX, LEX, OrderSpec, eliminate_order, weight_order
-from .parser import IdealFile, ParseError, parse_ideal_file, parse_polynomial, print_ideal_file
+from .parser import (
+    IdealFile,
+    ParseError,
+    _field_token,
+    _parse_field_token,
+    parse_ideal_file,
+    parse_polynomial,
+    print_ideal_file,
+)
 from .resolutions import _complete_resolution, bayer_stillman_test, regularity
 
 __all__ = ["main"]
@@ -55,11 +63,10 @@ def _parse_order(text: str) -> OrderSpec:
 
 
 def _parse_field(text: str) -> Field:
-    if text == "QQ":
-        return QQ
-    if text.startswith("Fp:"):
-        return GF(int(text[3:]))
-    raise argparse.ArgumentTypeError(f"unknown field {text!r} (use QQ or Fp:p)")
+    try:
+        return _parse_field_token(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class Output(NamedTuple):
@@ -113,10 +120,8 @@ def _quotient(ideal, args, opts):
 
 def _hilbert(ideal, args, opts):
     gens = [g for g in ideal.generators if not g.is_zero]
-    if not all(g.is_homogeneous() for g in gens):
-        raise ValueError("Hilbert functions need homogeneous input")
-    mono = initial_ideal(gens, opts=opts) if gens else MonomialIdeal.from_monomials(ideal.ring, [])
-    values = hilbert_function(mono, args.dmax)
+    target = gens or MonomialIdeal.from_monomials(ideal.ring, [])
+    values = hilbert_function(target, args.dmax, opts)
     return Output(values, [",".join(str(v) for v in values)])
 
 
@@ -230,10 +235,9 @@ def _run(args) -> int:
     out = args.compute(ideal, args, opts)
     elapsed = time.perf_counter() - t0
     if args.json:
-        field = ideal.ring.field
         payload = {
             "order": str(args.order),
-            "field": "QQ" if field.kind == "exact-rationals" else f"Fp:{field.modulus}",
+            "field": _field_token(ideal.ring.field),
             "generators": ideal.generators,
             "result": out.result,
             "timings": {"compute": elapsed},

@@ -15,7 +15,7 @@ from math import comb
 
 from .buchberger import BuchbergerOptions, GroebnerBasis, buchberger
 from .division import divide
-from .modules import CapInterrupted, _neg_key, syzygies
+from .modules import CapInterrupted, _combine, _neg_key, syzygies
 from .orders import GREVLEX, OrderSpec, eliminate_order
 from .poly import (
     Polynomial,
@@ -269,11 +269,12 @@ def _minimal_sorted(monos):
     return sorted(_minimal_monomials(monos))
 
 
-def hilbert_function(ideal, d_max: int) -> list:
+def hilbert_function(ideal, d_max: int, opts: BuchbergerOptions | None = None) -> list:
     """dim_k (S/I)_d for d = 0..d_max.
 
     Polynomial input routes through the initial ideal, which shares the
-    Hilbert function; monomial input is counted directly.
+    Hilbert function and is completed under opts; monomial input is counted
+    directly.
     """
     if isinstance(ideal, MonomialIdeal):
         mono = ideal
@@ -284,7 +285,7 @@ def hilbert_function(ideal, d_max: int) -> list:
         for g in gens:
             if not g.is_homogeneous():
                 raise ValueError("Hilbert functions need homogeneous input")
-        mono = initial_ideal(gens)
+        mono = initial_ideal(gens, opts=opts)
 
     nvars = mono.ring.nvars
     numerator = _series_numerator(tuple(sorted(mono.gens)), {})
@@ -339,8 +340,9 @@ def membership(g: Polynomial, gens, opts: BuchbergerOptions | None = None) -> Me
         div = divide(g.reorder(gb.ring), gb.elements)
         if not div.remainder.is_zero:
             return MembershipCertificate(False, (), None)
-        coeffs = _combine_certificate(div.quotients, gb, ring, gens)
-        return _finish_certificate(coeffs)
+        return _finish_certificate(
+            _combine(gb.ring, div.quotients, gb.transform, len(gb.generators))
+        )
 
     # affine route: homogenize, saturate out the homogenizer, then search
     # for the power of it that division needs; u^e maps the saturation into
@@ -357,22 +359,11 @@ def membership(g: Polynomial, gens, opts: BuchbergerOptions | None = None) -> Me
     for _ in range(e + 1):
         div = divide((gh.reorder(gb.ring)) * power, gb.elements)
         if div.remainder.is_zero:
-            hcoeffs = _combine_certificate(div.quotients, gb, gb.ring, hgens)
+            hcoeffs = _combine(gb.ring, div.quotients, gb.transform, len(gb.generators))
             coeffs = tuple(dehomogenize_polynomial(c, ring) for c in hcoeffs)
             return _finish_certificate(coeffs)
         power = power * u
     raise AssertionError(f"a saturation member needed more than u^{e}")
-
-
-def _combine_certificate(quotients, gb: GroebnerBasis, ring, gens):
-    out = []
-    for col in range(len(gb.generators)):
-        acc = gb.ring.zero()
-        for q, row in zip(quotients, gb.transform):
-            if not q.is_zero:
-                acc = acc + q * row[col]
-        out.append(acc)
-    return tuple(out)
 
 
 def _finish_certificate(coeffs):

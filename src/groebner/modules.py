@@ -5,6 +5,12 @@ works over a free module; ideals are the rank-1 case.  The engine keeps a
 transformation row per basis element expressing it in the input generators,
 which is what powers membership certificates and syzygy pushforward.
 
+One S-pair lift, ``_lift_spair``, serves the completion, the Groebner check
+and the Schreyer syzygies: it divides the S-element of a pair through the
+list once and returns the remainder with the coefficient vector writing it
+over the list.  One product, ``_combine``, multiplies such vectors into
+transform rows.
+
 Module monomials are pairs (monomial, component).  An order on them must be
 multiplicative; the three implementations here are position-over-term,
 term-over-position, and the Schreyer order induced by a list of elements of
@@ -23,6 +29,7 @@ from typing import NamedTuple
 from .poly import (
     Polynomial,
     PolynomialRing,
+    Term,
     mono_degree,
     mono_div,
     mono_lcm,
@@ -154,11 +161,6 @@ class FreeModule:
         z = self.ring.zero()
         return ModuleElement(self, (z,) * self.rank)
 
-    def basis_element(self, i: int, scale=1) -> "ModuleElement":
-        comps = [self.ring.zero()] * self.rank
-        comps[i] = self.ring.constant(scale)
-        return ModuleElement(self, tuple(comps))
-
 
 class ModuleElement:
     """Immutable element of a free module, stored componentwise."""
@@ -247,15 +249,13 @@ class ModuleElement:
         """Evaluate against targets: sum of comps[i] * targets[i]."""
         if len(targets) != self.module.rank:
             raise ValueError("target count does not match rank")
-        acc = None
-        for c, t in zip(self.comps, targets):
-            if c.is_zero:
-                continue
-            piece = _scale(t, c)
-            acc = piece if acc is None else acc + piece
-        if acc is None:
-            return _zero_like(targets[0])
-        return acc
+        ring = self.module.ring
+        if isinstance(targets[0], Polynomial):
+            return _combine(ring, self.comps, [(t,) for t in targets], 1)[0]
+        module = targets[0].module
+        return ModuleElement(
+            module, _combine(ring, self.comps, [t.comps for t in targets], module.rank)
+        )
 
     def __eq__(self, other):
         return (
@@ -269,21 +269,6 @@ class ModuleElement:
 
     def __repr__(self):
         return "(" + ", ".join(str(p) for p in self.comps) + ")"
-
-
-def _scale(target, poly: Polynomial):
-    if isinstance(target, Polynomial):
-        return target * poly
-    out = target.module.zero()
-    for t in poly.terms:
-        out = out + target.monomial_mul(t.coeff, t.monomial)
-    return out
-
-
-def _zero_like(target):
-    if isinstance(target, Polynomial):
-        return target.ring.zero()
-    return target.module.zero()
 
 
 def as_module_elements(polys):
@@ -412,14 +397,6 @@ class ModuleGroebnerBasis:
 
     def contains(self, g: ModuleElement) -> bool:
         return self.normal_form(g).is_zero
-
-    def expand_transform_row(self, i: int) -> ModuleElement:
-        """Recombine row i against the original generators; equals elements[i]."""
-        row = self.transform[i]
-        acc = self.module.zero()
-        for coeff_poly, gen in zip(row, self.generators):
-            acc = acc + _scale(gen, coeff_poly)
-        return acc
 
 
 def gebauer_moller_update(pending, live, leads, new, product_rule):
@@ -577,37 +554,16 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
         else:
             i, j = rng.choice(sorted(pending))
             degree = pair_degree(i, pending[(i, j)])
-        lcm = pending.pop((i, j))
+        del pending[(i, j)]
         if cap is not None and degree > cap:
             complete = False
             if rng is None:
                 break  # every pair left on the heap is above the cap too
             continue
 
-        u = mono_div(lcm, leads[i].monomial)
-        v = mono_div(lcm, leads[j].monomial)
-        s_elem = basis[i].monomial_mul(field.one, u) - basis[j].monomial_mul(field.one, v)
-        if s_elem.is_zero:
-            continue
-        div = module_divide(s_elem, basis)
-        rem = div.remainder
-        if rem.is_zero:
-            continue
-
-        if track:
-            row = [ring.zero()] * nident
-            for col in range(nident):
-                acc = transform[i][col].monomial_mul(field.one, u) - transform[j][
-                    col
-                ].monomial_mul(field.one, v)
-                for q, trow in zip(div.quotients, transform):
-                    if not q.is_zero:
-                        acc = acc - q * trow[col]
-                row[col] = acc
-            row = tuple(row)
-        else:
-            row = ()
-        append_element(rem, row)
+        rem, coeffs = _lift_spair(basis, leads, i, j)
+        if not rem.is_zero:
+            append_element(rem, _combine(ring, coeffs, transform, nident) if track else ())
 
     if opts.reduce:
         basis, transform = _interreduce(module, basis, transform)
@@ -647,13 +603,9 @@ def _interreduce(module, basis, transform):
         other_rows = rows[:pos] + rows[pos + 1:]
         if others:
             div = module_divide(elem, others)
-            rem = div.remainder
-            row = list(rows[pos])
-            for q, orow in zip(div.quotients, other_rows):
-                if not q.is_zero:
-                    row = [rp - q * op for rp, op in zip(row, orow)]
-            reduced_elements.append(rem)
-            reduced_rows.append(tuple(row))
+            pulled = _combine(module.ring, div.quotients, other_rows, len(rows[pos]))
+            reduced_elements.append(div.remainder)
+            reduced_rows.append(tuple(r - c for r, c in zip(rows[pos], pulled)))
         else:
             reduced_elements.append(elem)
             reduced_rows.append(rows[pos])
@@ -671,27 +623,54 @@ def _neg_key(key):
     return -key
 
 
+def _lift_spair(elements, leads, i, j):
+    """Divide the S-element of elements i < j (same lead component) once
+    through the list.
+
+    Returns (remainder, coeffs): coeffs[k] is the coefficient of element k
+    in remainder = sum coeffs[k] * elements[k], that is the trivial-syzygy
+    terms c_i x^u at i and -c_j x^v at j minus the quotients.  With a zero
+    remainder, coeffs is the syzygy that Schreyer's construction attaches
+    to the pair; in the completion it is the new element's transform row
+    over the basis.  A zero S-element is not divided.
+    """
+    li, lj = leads[i], leads[j]
+    ring = elements[i].module.ring
+    field = ring.field
+    lcm = mono_lcm(li.monomial, lj.monomial)
+    u, v = mono_div(lcm, li.monomial), mono_div(lcm, lj.monomial)
+    ci, cj = field.inv(li.coeff), field.inv(lj.coeff)
+    s = elements[i].monomial_mul(ci, u) - elements[j].monomial_mul(cj, v)
+    if s.is_zero:
+        rem, coeffs = s, [ring.zero()] * len(elements)
+    else:
+        div = module_divide(s, elements)
+        rem, coeffs = div.remainder, [-q for q in div.quotients]
+    coeffs[i] = coeffs[i] + Polynomial(ring, (Term(ci, u),))
+    coeffs[j] = coeffs[j] - Polynomial(ring, (Term(cj, v),))
+    return rem, tuple(coeffs)
+
+
+def _combine(ring, coeffs, rows, width):
+    """The row vector coeffs times the matrix rows: a width-tuple whose
+    entry col is sum_k coeffs[k] * rows[k][col]."""
+    out = [ring.zero()] * width
+    for c, row in zip(coeffs, rows):
+        if c.is_zero:
+            continue
+        for col, t in enumerate(row):
+            if not t.is_zero:
+                out[col] = out[col] + c * t
+    return tuple(out)
+
+
 def is_module_groebner(elements) -> bool:
-    """Check whether all defined S-pairs reduce to zero against the list."""
+    """Whether every S-pair of the list reduces to zero against it: the
+    Schreyer construction goes through (each pair divided once)."""
     elements = list(elements)
     if any(e.is_zero for e in elements):
         raise ValueError("zero element in basis")
-    field = elements[0].module.ring.field
-    leads = [e.lead_term() for e in elements]
-    for j in range(len(elements)):
-        for i in range(j):
-            li, lj = leads[i], leads[j]
-            if li.component != lj.component:
-                continue
-            lcm = mono_lcm(li.monomial, lj.monomial)
-            s = elements[i].monomial_mul(
-                field.inv(li.coeff), mono_div(lcm, li.monomial)
-            ) - elements[j].monomial_mul(field.inv(lj.coeff), mono_div(lcm, lj.monomial))
-            if s.is_zero:
-                continue
-            if not module_divide(s, elements).remainder.is_zero:
-                return False
-    return True
+    return _syzygies_of_basis(elements) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -709,15 +688,14 @@ def syzygy_module_for(elements, ambient_order: ModuleOrder | None = None) -> Fre
 
 
 def _syzygies_of_basis(basis_elements, pair_subset=None):
-    """Syzygies of a Groebner basis via the Schreyer construction.
+    """Syzygies of a Groebner basis via the Schreyer construction, or None
+    when the list is not a Groebner basis (some S-pair leaves a remainder).
 
+    Each pair is lifted once, and its coefficient vector is the syzygy.
     With all pairs (the default) the output is a Groebner basis of the
     syzygy module under the induced order; a pair_subset that still
     generates the trivial syzygies yields a generating set."""
     elements = list(basis_elements)
-    module = elements[0].module
-    ring = module.ring
-    field = ring.field
     m1 = syzygy_module_for(elements)
     leads = [e.lead_term() for e in elements]
     out = []
@@ -728,25 +706,12 @@ def _syzygies_of_basis(basis_elements, pair_subset=None):
                 continue
             if pair_subset is not None and (i, j) not in pair_subset:
                 continue
-            lcm = mono_lcm(li.monomial, lj.monomial)
-            u = mono_div(lcm, li.monomial)
-            v = mono_div(lcm, lj.monomial)
-            ci = field.inv(li.coeff)
-            cj = field.inv(lj.coeff)
-            s = elements[i].monomial_mul(ci, u) - elements[j].monomial_mul(cj, v)
-            t_ij = m1.basis_element(i).monomial_mul(ci, u) - m1.basis_element(j).monomial_mul(cj, v)
-            if s.is_zero:
-                out.append(t_ij)
-                continue
-            div = module_divide(s, elements)
-            if not div.remainder.is_zero:
-                raise ValueError("input list is not a Groebner basis")
-            q_elem = m1.zero()
-            for k, q in enumerate(div.quotients):
-                if not q.is_zero:
-                    q_elem = q_elem + _scale(m1.basis_element(k), q)
-            syz = t_ij - q_elem
-            assert syz.lead_term()[1:] == t_ij.lead_term()[1:], (
+            rem, coeffs = _lift_spair(elements, leads, i, j)
+            if not rem.is_zero:
+                return None
+            syz = ModuleElement(m1, coeffs)
+            u = mono_div(mono_lcm(li.monomial, lj.monomial), li.monomial)
+            assert syz.lead_term()[1:] == (u, i), (
                 "syzygy lead drifted from the trivial syzygy lead"
             )
             out.append(syz)
@@ -782,17 +747,12 @@ def syzygy_generators(elements, opts: BuchbergerOptions | None = None,
     ring = felems[0].module.ring
     target = syzygy_module_for(elements)
     pairs = surviving_pairs([e.lead_term() for e in felems], product_rule=False)
+    syz = _syzygies_of_basis(felems, pair_subset=pairs)
+    if syz is None:
+        raise AssertionError("a completed basis failed its own Groebner check")
     out = []
-    for s in _syzygies_of_basis(felems, pair_subset=pairs):
-        comps = [ring.zero()] * target.rank
-        for k, coeff_poly in enumerate(s.comps):
-            if coeff_poly.is_zero:
-                continue
-            for col in range(target.rank):
-                t = rows[k][col]
-                if not t.is_zero:
-                    comps[col] = comps[col] + coeff_poly * t
-        pushed = target.element(comps)
+    for s in syz:
+        pushed = target.element(_combine(ring, s.comps, rows, target.rank))
         if not pushed.is_zero:
             out.append(pushed)
 
@@ -800,15 +760,8 @@ def syzygy_generators(elements, opts: BuchbergerOptions | None = None,
         div = module_divide(g, felems)
         if not div.remainder.is_zero:
             raise AssertionError("generator failed to divide through its own basis")
-        comps = [ring.zero()] * target.rank
-        comps[a] = ring.one()
-        for q, row in zip(div.quotients, rows):
-            if q.is_zero:
-                continue
-            for col in range(target.rank):
-                t = row[col]
-                if not t.is_zero:
-                    comps[col] = comps[col] - q * t
+        comps = [-c for c in _combine(ring, div.quotients, rows, target.rank)]
+        comps[a] = comps[a] + ring.one()
         elem = target.element(comps)
         if not elem.is_zero:
             out.append(elem)
@@ -818,24 +771,20 @@ def syzygy_generators(elements, opts: BuchbergerOptions | None = None,
 def syzygies(F, opts: BuchbergerOptions | None = None):
     """Generators of the syzygy module of F.
 
-    When F is already a Groebner basis (or a ModuleGroebnerBasis), the
-    Schreyer construction applies directly and the output is a Groebner
-    basis of the syzygy module under the induced order.  A plain generating
-    list is completed first and the syzygies are carried back onto the
-    original generators through the transform.
+    One pass of the Schreyer construction divides each S-pair once.  When
+    every remainder is zero, F (or a ModuleGroebnerBasis's elements) is a
+    Groebner basis and the output is a Groebner basis of the syzygy module
+    under the induced order.  Otherwise the pass stops at the first nonzero
+    remainder, and F is completed and its syzygies are carried back onto
+    the original generators through the transform.
     """
-    if isinstance(F, ModuleGroebnerBasis):
-        return _syzygies_of_basis(F.elements)
-
-    elements = list(F)
+    elements = list(F.elements if isinstance(F, ModuleGroebnerBasis) else F)
     if not elements:
         return []
     if isinstance(elements[0], Polynomial):
         _, elements = as_module_elements(elements)
-
-    if is_module_groebner(elements):
-        return _syzygies_of_basis(elements)
-    return syzygy_generators(elements, opts)
+    syz = _syzygies_of_basis(elements)
+    return syz if syz is not None else syzygy_generators(elements, opts)
 
 
 # ---------------------------------------------------------------------------

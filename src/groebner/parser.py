@@ -148,19 +148,17 @@ class _ExprParser:
         self.fail("expected a coefficient or a variable", (kind, value, col))
 
 
-def _parse_field_token(token: str, line_no: int, col: int) -> Field:
+def _parse_field_token(token: str) -> Field:
+    """The field of a token QQ | Fp:p; ValueError names what is wrong."""
     if token == "QQ":
         return QQ
     if token.startswith("Fp:"):
         try:
             p = int(token[3:])
         except ValueError:
-            raise ParseError(f"bad modulus in {token!r}", line_no, col)
-        try:
-            return GF(p)
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no, col)
-    raise ParseError(f"unknown field {token!r} (use QQ or Fp:p)", line_no, col)
+            raise ValueError(f"bad modulus in {token!r}") from None
+        return GF(p)
+    raise ValueError(f"unknown field {token!r} (use QQ or Fp:p)")
 
 
 def parse_ideal_file(text: str, default_field: Field | None = None,
@@ -179,7 +177,10 @@ def parse_ideal_file(text: str, default_field: Field | None = None,
             if ring is not None:
                 raise ParseError("field must come before the ring", line_no, 1)
             declared = True
-            field = _parse_field_token(line[6:].strip(), line_no, 7)
+            try:
+                field = _parse_field_token(line[6:].strip())
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no, 7)
             continue
         if line.startswith("ring "):
             if ring is not None:
@@ -214,6 +215,7 @@ def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
 
 
 def _field_token(field: Field) -> str:
+    """The token that _parse_field_token reads back as field."""
     return "QQ" if field.kind == "exact-rationals" else f"Fp:{field.modulus}"
 
 

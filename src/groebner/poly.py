@@ -153,11 +153,6 @@ class PolynomialRing:
             raise ValueError(f"variable {name!r} already present")
         return PolynomialRing(self.field, self.names + (name,), order or self.order)
 
-    def drop_last_variable(self, order: OrderSpec | None = None) -> "PolynomialRing":
-        if self.nvars < 2:
-            raise ValueError("cannot drop the only variable")
-        return PolynomialRing(self.field, self.names[:-1], order or self.order)
-
 
 class Polynomial:
     """Immutable sparse polynomial; terms strictly descending in ring order."""
@@ -252,6 +247,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scalar_mul(other)
         self._check_ring(other)
+        # a one-term factor keeps the other's term order (multiplicativity)
+        if len(other.terms) == 1:
+            return self.monomial_mul(*other.terms[0])
+        if len(self.terms) == 1:
+            return other.monomial_mul(*self.terms[0])
         field = self.ring.field
         acc = {}
         for ta in self.terms:

@@ -152,6 +152,15 @@ def test_flags_are_registered_only_where_read(capsys):
     capsys.readouterr()
 
 
+def test_bad_field_flag_carries_the_parser_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gb", "--field", "Fp:10", CUBIC])
+    assert exc.value.code == 2
+    assert "modulus must be prime, got 10" in capsys.readouterr().err
+    with pytest.raises(ParseError, match="line 1, column 7: modulus must be prime, got 10"):
+        parse_ideal_file("field Fp:10\nring x\nf = x\n")
+
+
 def test_module_entry_point_in_a_subprocess():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 

@@ -27,6 +27,7 @@ from groebner import (
     twisted_cubic,
 )
 from groebner.ideals import dehomogenize_polynomial, generic_change
+from groebner.modules import BuchbergerOptions, CapInterrupted
 from groebner.oracle import ideal_dim_in_degree
 
 
@@ -135,6 +136,12 @@ def test_ideal_quotient_members_multiply_in(cubic_lex):
 def test_hilbert_function_twisted_cubic(cubic_lex):
     ring, gens = cubic_lex
     assert hilbert_function(gens, 10) == [1] + [3 * d + 1 for d in range(1, 11)]
+
+
+def test_hilbert_function_honors_degree_cap(cubic_lex):
+    ring, gens = cubic_lex
+    with pytest.raises(CapInterrupted):
+        hilbert_function(gens, 5, BuchbergerOptions(degree_cap=1))
 
 
 def test_hilbert_function_zero_dimensional(ring_qq_xy):

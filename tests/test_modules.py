@@ -3,6 +3,7 @@
 import pytest
 
 from groebner import (
+    GF,
     GREVLEX,
     QQ,
     FreeModule,
@@ -10,13 +11,16 @@ from groebner import (
     buchberger,
     minimalize_generators,
     module_buchberger,
+    random_ideal,
     syzygies,
 )
+from groebner import modules
 from groebner.modules import (
     BuchbergerOptions,
     PositionOverTerm,
     SchreyerOrder,
     TermOverPosition,
+    _syzygies_of_basis,
     as_module_elements,
     is_module_groebner,
     module_divide,
@@ -121,6 +125,38 @@ def test_schreyer_reduction_of_syzygy_module(cubic_grevlex):
     red = module_buchberger(syz, BuchbergerOptions(reduce=True))
     assert len(red.elements) == 2
     assert is_module_groebner(red.elements)
+
+
+def test_syzygies_of_a_basis_divide_each_pair_once(monkeypatch):
+    divided = []
+
+    def spy(g, divisors):
+        divided.append(g)
+        return module_divide(g, divisors)
+
+    for seed in (1001, 1002, 1004):
+        _, gens = random_ideal(seed, 4, 3, 2, field=GF(32003))
+        basis = buchberger(gens).elements
+        divided.clear()
+        with monkeypatch.context() as m:
+            m.setattr(modules, "module_divide", spy)
+            syz = syzygies(basis)
+        pairs = len(basis) * (len(basis) - 1) // 2  # rank 1: every pair
+        assert len(syz) == pairs
+        assert len(divided) == pairs
+        for s in syz:
+            assert s.apply(basis).is_zero
+
+
+def test_groebner_check_and_schreyer_pass_agree():
+    for seed in range(1000, 1006):
+        _, gens = random_ideal(seed, 3, 3, 2, field=GF(32003))
+        _, raw = as_module_elements(gens)
+        assert is_module_groebner(raw) is False
+        assert _syzygies_of_basis(raw) is None
+        _, basis = as_module_elements(buchberger(gens).elements)
+        assert is_module_groebner(basis) is True
+        assert _syzygies_of_basis(basis) is not None
 
 
 def test_module_division_identity(cubic_grevlex):
