@@ -146,27 +146,21 @@ def _strip_variable(f: Polynomial, var_index: int) -> Polynomial:
     )
 
 
-def _saturate_last(gens, opts: BuchbergerOptions | None = None) -> tuple:
-    """(grevlex basis of (I : x_n^infinity), largest x_n power stripped);
-    x_n to that power maps the saturation back into I."""
-    ring = gens[0].ring.with_order(GREVLEX)
-    gb = _complete_basis([g.reorder(ring) for g in gens], opts=opts)
-    last = ring.nvars - 1
-    sat = _complete_basis([_strip_variable(f, last) for f in gb.elements], opts=opts)
-    return sat, max(min(t.monomial[last] for t in f.terms) for f in gb.elements)
-
-
 def saturate_variable(gens, opts: BuchbergerOptions | None = None):
     """Reduced grevlex basis of (I : x_n^infinity) for the last variable.
 
     Under grevlex the last variable divides an element exactly when it
-    divides its lead term, so stripping shared x_n powers from a reduced
-    basis of I yields a basis of the saturation in one pass.
+    divides its lead term, so stripping shared x_n powers from the grevlex
+    basis of I yields a basis of the saturation in one pass; a second
+    completion only reduces it.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
-    return list(_saturate_last(gens, opts)[0].elements)
+    gb = _complete_basis(gens, order=GREVLEX, opts=opts)
+    last = gb.ring.nvars - 1
+    stripped = [_strip_variable(f, last) for f in gb.elements]
+    return list(_complete_basis(stripped, opts=opts).elements)
 
 
 def ideal_quotient(gens, f: Polynomial, opts: BuchbergerOptions | None = None):
@@ -322,10 +316,16 @@ class MembershipCertificate:
 def membership(g: Polynomial, gens, opts: BuchbergerOptions | None = None) -> MembershipCertificate:
     """Decide g in (gens) and, for members, produce the exact combination.
 
-    Homogeneous input divides against a basis and rolls the quotients
-    through the transform.  Inhomogeneous input is homogenized, tested
-    against the saturation by the homogenizer, and the certificate comes
-    from clearing the homogenizer power that division demands.
+    Every input takes one route.  g and the nonzero generators are
+    homogenized into grevlex with a fresh homogenizer u last, and (gens)^h
+    is completed once.  If e is the largest power of u dividing a basis
+    element, then u^e (I^h : u^infinity) lies in I^h (Bayer-Stillman), so g
+    is a member exactly when u^k g^h reduces to zero for some k <= e; the
+    quotients of the first such k, rolled through the transform and
+    dehomogenized, are the certificate.  Homogeneous input has e = 0.  On a
+    grevlex ring this is the ring's own arithmetic; rings under other orders
+    get their certificates from the grevlex basis.  The certificate has one
+    coefficient per generator, zero at a zero generator.
     """
     gens = list(gens)
     if not gens:
@@ -334,41 +334,25 @@ def membership(g: Polynomial, gens, opts: BuchbergerOptions | None = None) -> Me
     if any(f.ring != ring for f in gens):
         raise ValueError("ring mismatch")
 
-    homogeneous = g.is_homogeneous() and all(f.is_homogeneous() for f in gens)
-    if homogeneous:
-        gb = _complete_basis([f for f in gens if not f.is_zero], opts=opts)
-        div = divide(g.reorder(gb.ring), gb.elements)
-        if not div.remainder.is_zero:
-            return MembershipCertificate(False, (), None)
-        return _finish_certificate(
-            _combine(gb.ring, div.quotients, gb.transform, len(gb.generators))
-        )
-
-    # affine route: homogenize, saturate out the homogenizer, then search
-    # for the power of it that division needs; u^e maps the saturation into
-    # the homogenized ideal, so the search ends by the stripped power e
-    hring, hgens, hmap = homogenize([f for f in gens if not f.is_zero])
+    name = "u"
+    while name in ring.names:
+        name += "_"
+    hring = ring.with_order(GREVLEX).append_variable(name)
+    nonzero = [i for i, f in enumerate(gens) if not f.is_zero]
+    gb = _complete_basis([homogenize_polynomial(gens[i], hring) for i in nonzero], opts=opts)
     gh = homogenize_polynomial(g, hring)
-    sat_gb, e = _saturate_last(hgens, opts=opts)
-    if not sat_gb.contains(gh.reorder(sat_gb.ring)):
-        return MembershipCertificate(False, (), None)
-
-    gb = _complete_basis(hgens, opts=opts)
-    u = gb.ring.variable(gb.ring.nvars - 1)
-    power = gb.ring.one()
-    for _ in range(e + 1):
-        div = divide((gh.reorder(gb.ring)) * power, gb.elements)
+    u = hring.variable(name)
+    power = hring.one()
+    for _ in range(max(f.lead_monomial[-1] for f in gb.elements) + 1):
+        div = divide(gh * power, gb.elements)
         if div.remainder.is_zero:
-            hcoeffs = _combine(gb.ring, div.quotients, gb.transform, len(gb.generators))
-            coeffs = tuple(dehomogenize_polynomial(c, ring) for c in hcoeffs)
-            return _finish_certificate(coeffs)
+            coeffs = [ring.zero()] * len(gens)
+            for i, c in zip(nonzero, _combine(hring, div.quotients, gb.transform, len(nonzero))):
+                coeffs[i] = dehomogenize_polynomial(c, ring)
+            degs = [a.total_degree() for a in coeffs if not a.is_zero]
+            return MembershipCertificate(True, tuple(coeffs), max(degs) if degs else 0)
         power = power * u
-    raise AssertionError(f"a saturation member needed more than u^{e}")
-
-
-def _finish_certificate(coeffs):
-    degs = [a.total_degree() for a in coeffs if not a.is_zero]
-    return MembershipCertificate(True, coeffs, max(degs) if degs else 0)
+    return MembershipCertificate(False, (), None)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +455,11 @@ def generic_change(gens, seed: int = 0) -> tuple:
     raise RuntimeError("could not sample an invertible change of coordinates")
 
 
-def saturation(gens, seed: int = 0, retries: int = 3,
-               opts: BuchbergerOptions | None = None):
+# fresh coordinate changes tried before a saturation gives up
+_SATURATION_ATTEMPTS = 3
+
+
+def saturation(gens, seed: int = 0, opts: BuchbergerOptions | None = None):
     """Full saturation (I : m^infinity) via a generic last coordinate.
 
     After a generic change, saturating the last variable removes every
@@ -485,7 +472,7 @@ def saturation(gens, seed: int = 0, retries: int = 3,
         return []
     if not all(g.is_homogeneous() for g in gens):
         raise ValueError("saturation by the irrelevant ideal needs homogeneous input")
-    for attempt in range(retries):
+    for attempt in range(_SATURATION_ATTEMPTS):
         changed, change = generic_change(gens, seed + 7919 * attempt)
         sat = saturate_variable(changed, opts=opts)
         if not sat:

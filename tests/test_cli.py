@@ -124,6 +124,23 @@ def test_member_json_schema(capsys):
     assert payload["result"]["certificate"][0] == "1"
 
 
+def test_member_keeps_zero_generator_positions(tmp_path, capsys):
+    f = tmp_path / "zero.id"
+    f.write_text("field QQ\nring x y\nf1 = 0\nf2 = x\nf3 = y\n")
+    rc = main(["member", "--poly", "x*y + y^2", str(f)])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:4] == ["  f1: 0", "  f2: y", "  f3: y"]
+
+
+def test_member_under_a_weight_order(tmp_path, capsys):
+    f = tmp_path / "affine.id"
+    f.write_text("field QQ\nring x y\nf1 = x*y - 1\n")
+    rc = main(["member", "--order", "weight:-1,0", "--poly", "x*y^2 - y", str(f)])
+    assert rc == 0
+    assert "  f1: y" in capsys.readouterr().out.splitlines()
+
+
 def test_degree_cap_exit_code(capsys):
     rc = main(["gb", "--order", "lex", "--degree-cap", "2", CUBIC])
     capsys.readouterr()

@@ -1,6 +1,8 @@
 """Initial ideals, elimination, saturation, quotients, Hilbert functions,
 membership certificates, Borel fixedness and the saturation defect."""
 
+import random
+import sys
 from math import comb
 
 import pytest
@@ -14,21 +16,25 @@ from groebner import (
     PolynomialRing,
     buchberger,
     eliminate,
+    eliminate_order,
     hilbert_function,
     homogenize,
     ideal_quotient,
     ideal_quotient_saturation,
     initial_ideal,
     is_borel_fixed,
+    mayr_meyer,
     membership,
+    random_ideal,
     sat_defect,
     saturate_variable,
     saturation,
     twisted_cubic,
+    weight_order,
 )
 from groebner.ideals import dehomogenize_polynomial, generic_change
 from groebner.modules import BuchbergerOptions, CapInterrupted
-from groebner.oracle import ideal_dim_in_degree
+from groebner.oracle import ideal_dim_in_degree, membership_in_degree
 
 
 def test_initial_ideal_twisted_cubic(cubic_lex):
@@ -207,6 +213,107 @@ def test_membership_affine_route():
     assert cert.member
     assert cert.expand(gens) == g
     assert not membership(x, gens).member
+
+
+def test_membership_keeps_zero_generator_positions():
+    ring = PolynomialRing(QQ, ["x", "y"], GREVLEX)
+    x, y = ring.variables()
+    gens = [ring.zero(), x, y]
+    g = x * y + y * y
+    cert = membership(g, gens)
+    assert cert.member
+    assert cert.coefficients == (ring.zero(), y, y)
+    assert cert.expand(gens) == g
+
+
+def test_membership_homogenizer_avoids_ring_variables():
+    ring = PolynomialRing(QQ, ["x", "u"], GREVLEX)
+    x, u = ring.variables()
+    gens = [x * u - 1]
+    g = x * u * u - u
+    cert = membership(g, gens)
+    assert cert.member and cert.expand(gens) == g
+    assert not membership(x, gens).member
+
+    # the homogeneous tower's ring has its own u
+    tring, tgens = mayr_meyer(1, homogeneous=True, field=QQ)
+    v = {name: tring.variable(name) for name in ("S1", "F1", "C1_1", "B1_1", "u")}
+    w = v["S1"] * v["C1_1"] * v["u"] ** 2 - v["F1"] * v["C1_1"] * v["B1_1"] ** 2
+    cert = membership(w, tgens)
+    assert cert.member and cert.expand(tgens) == w
+
+
+def test_membership_under_a_weight_order():
+    ring = PolynomialRing(QQ, ["x", "y"], weight_order((-1, 0)))
+    x, y = ring.variables()
+    gens = [x * y - 1]
+    cert = membership(x * y * y - y, gens)
+    assert cert.member
+    assert cert.coefficients == (y,)
+    assert not membership(x, gens).member
+
+
+def test_membership_completes_once(monkeypatch):
+    from groebner import modules
+
+    # the package's buchberger() function shadows its submodule's name
+    buchberger_module = sys.modules["groebner.buchberger"]
+    calls = []
+    inner = modules.module_buchberger
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(modules, "module_buchberger", spy)
+    monkeypatch.setattr(buchberger_module, "module_buchberger", spy)
+    ring = PolynomialRing(QQ, ["x", "y"], GREVLEX)
+    x, y = ring.variables()
+    for g, gens, member in [
+        (x * y * y - y, [x * y - 1], True),
+        (x, [x * y - 1], False),
+        (x * x * y, [x * x + y * y, x * y], True),
+    ]:
+        calls.clear()
+        assert membership(g, gens).member is member
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "Fp"])
+@pytest.mark.parametrize("order", ["lex", "elim", "weight", "grevlex"])
+def test_membership_certificates_across_orders(field, order):
+    # every ring order certifies from one grevlex basis; the Macaulay slice
+    # decides the homogeneous candidates independently
+    rng = random.Random(7)
+    outcomes = set()
+    for seed, n_vars, n_gens, degree in [
+        (3000, 3, 2, 2), (3001, 3, 3, 1), (3002, 3, 2, 3), (3003, 4, 3, 2),
+    ]:
+        spec = {"lex": LEX, "elim": eliminate_order(1), "grevlex": GREVLEX,
+                "weight": weight_order(range(n_vars, 0, -1))}[order]
+        ring, gens = random_ideal(seed, n_vars, n_gens, degree, field=field, order=spec)
+        xs = ring.variables()
+        affine = [f + xs[-1] for f in gens]
+        for ideal in (gens, affine):
+            g = ring.zero()
+            for f in ideal:
+                g = g + rng.choice(xs) * rng.choice(xs) * f
+            candidates = [g]
+            if ideal is gens:
+                monomial = ring.one()
+                for _ in range(degree + 2):
+                    monomial = monomial * rng.choice(xs)
+                candidates.append(g + monomial)
+            for h in candidates:
+                cert = membership(h, ideal)
+                if ideal is gens:
+                    assert cert.member == membership_in_degree(h, ideal)
+                else:
+                    assert cert.member
+                if cert.member:
+                    assert cert.expand(ideal) == h
+                outcomes.add(cert.member)
+    assert outcomes == {True, False}
 
 
 def test_borel_fixed_examples(ring_qq_lex):
