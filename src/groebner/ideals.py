@@ -10,7 +10,7 @@ on many generators.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from math import comb
 
 from .buchberger import BuchbergerOptions, GroebnerBasis, buchberger
@@ -325,7 +325,8 @@ def membership(g: Polynomial, gens, opts: BuchbergerOptions | None = None) -> Me
     dehomogenized, are the certificate.  Homogeneous input has e = 0.  On a
     grevlex ring this is the ring's own arithmetic; rings under other orders
     get their certificates from the grevlex basis.  The certificate has one
-    coefficient per generator, zero at a zero generator.
+    coefficient per generator, zero at a zero generator; when every
+    generator is zero, g is a member exactly when it is zero.
     """
     gens = list(gens)
     if not gens:
@@ -334,11 +335,16 @@ def membership(g: Polynomial, gens, opts: BuchbergerOptions | None = None) -> Me
     if any(f.ring != ring for f in gens):
         raise ValueError("ring mismatch")
 
+    nonzero = [i for i, f in enumerate(gens) if not f.is_zero]
+    if not nonzero:
+        if g.is_zero:
+            return MembershipCertificate(True, (ring.zero(),) * len(gens), 0)
+        return MembershipCertificate(False, (), None)
+
     name = "u"
     while name in ring.names:
         name += "_"
     hring = ring.with_order(GREVLEX).append_variable(name)
-    nonzero = [i for i, f in enumerate(gens) if not f.is_zero]
     gb = _complete_basis([homogenize_polynomial(gens[i], hring) for i in nonzero], opts=opts)
     gh = homogenize_polynomial(g, hring)
     u = hring.variable(name)
@@ -398,12 +404,16 @@ def dehomogenize_polynomial(f: Polynomial, ring: PolynomialRing) -> Polynomial:
 
 def homogenize(gens, name: str = "u"):
     """Homogenize each generator to its own degree with a fresh last
-    variable; returns (extended ring, new generators, old ring)."""
+    variable; returns (extended ring, new generators, old ring).  Under a
+    weight order the new variable gets weight 0."""
     gens = list(gens)
     if not gens:
         raise ValueError("nothing to homogenize")
     ring = gens[0].ring
-    hring = ring.append_variable(name)
+    order = ring.order
+    if order.kind == "weight":
+        order = replace(order, weights=order.weights + (0,))
+    hring = ring.append_variable(name, order)
     return hring, [homogenize_polynomial(g, hring) for g in gens], ring
 
 
@@ -413,26 +423,60 @@ def homogenize(gens, name: str = "u"):
 
 @dataclass
 class CoordinateChange:
+    """The linear change x_i -> sum_j matrix[i][j] x_j and its inverse.
+
+    Each direction expands monomials through one table {monomial: {monomial:
+    coeff}} that every polynomial it maps shares: the image of m is the
+    image of m / x_i times the image of x_i, for x_i the first variable of m,
+    so each monomial is expanded once per change.  A polynomial's image is
+    the sum of its coefficients times the images of its monomials.
+    """
+
     ring: PolynomialRing
     matrix: list
     inverse: list
+    _forward: dict = field(init=False, repr=False, compare=False)
+    _backward: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        one = (0,) * self.ring.nvars
+        self._forward = {one: {one: self.ring.field.one}}
+        self._backward = {one: {one: self.ring.field.one}}
 
     def apply(self, f: Polynomial) -> Polynomial:
-        return self._subst(f, self.matrix)
+        return self._expand(f, self.matrix, self._forward)
 
     def unapply(self, f: Polynomial) -> Polynomial:
-        return self._subst(f, self.inverse)
+        return self._expand(f, self.inverse, self._backward)
 
-    def _subst(self, f, mat):
-        ring = self.ring
-        images = [
-            ring.polynomial(
-                (mat[i][j], tuple(1 if k == j else 0 for k in range(ring.nvars)))
-                for j in range(ring.nvars)
-            )
-            for i in range(ring.nvars)
-        ]
-        return f.substitute(ring, images)
+    def _expand(self, f, mat, table):
+        add, mul = self.ring.field.add, self.ring.field.mul
+        acc = {}
+        for t in f.terms:
+            for m, c in self._image(t.monomial, mat, table).items():
+                c = mul(t.coeff, c)
+                acc[m] = add(acc[m], c) if m in acc else c
+        return self.ring.polynomial((c, m) for m, c in acc.items())
+
+    def _image(self, mono, mat, table):
+        # strip first variables down to an expanded monomial, then multiply
+        # the stripped forms back in, recording every step
+        steps = []
+        while mono not in table:
+            i = next(k for k, e in enumerate(mono) if e)
+            steps.append((mono, i))
+            mono = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+        img = table[mono]
+        add, mul = self.ring.field.add, self.ring.field.mul
+        for mono, i in reversed(steps):
+            nxt = {}
+            for m, c in img.items():
+                for j, a in enumerate(mat[i]):
+                    if a != 0:
+                        n = m[:j] + (m[j] + 1,) + m[j + 1:]
+                        nxt[n] = add(nxt[n], mul(c, a)) if n in nxt else mul(c, a)
+            img = table[mono] = {m: c for m, c in nxt.items() if c != 0}
+        return img
 
 
 def generic_change(gens, seed: int = 0) -> tuple:
@@ -441,14 +485,13 @@ def generic_change(gens, seed: int = 0) -> tuple:
 
     gens = list(gens)
     ring = gens[0].ring
-    field = ring.field
     rng = random.Random(seed)
     for _ in range(64):
         matrix = [
-            [field.random_scalar(rng) for _ in range(ring.nvars)]
+            [ring.field.random_scalar(rng) for _ in range(ring.nvars)]
             for _ in range(ring.nvars)
         ]
-        inverse = invert_matrix(matrix, field)
+        inverse = invert_matrix(matrix, ring.field)
         if inverse is not None:
             change = CoordinateChange(ring, matrix, inverse)
             return [change.apply(g) for g in gens], change
@@ -459,25 +502,19 @@ def generic_change(gens, seed: int = 0) -> tuple:
 _SATURATION_ATTEMPTS = 3
 
 
-def saturation(gens, seed: int = 0, opts: BuchbergerOptions | None = None):
-    """Full saturation (I : m^infinity) via a generic last coordinate.
+def _generic_saturation(gens, seed: int, opts: BuchbergerOptions | None):
+    """(basis, change): the reduced grevlex basis of (I : m^infinity) in the
+    coordinates of change, for nonzero homogeneous gens.
 
     After a generic change, saturating the last variable removes every
     component supported on the irrelevant ideal.  A second change must then
-    leave the result alone; if not, the coordinates were unlucky and we
-    retry with a fresh seed.
+    leave the Hilbert function alone; if not, the coordinates were unlucky
+    and we retry with a fresh seed.
     """
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        return []
-    if not all(g.is_homogeneous() for g in gens):
-        raise ValueError("saturation by the irrelevant ideal needs homogeneous input")
     for attempt in range(_SATURATION_ATTEMPTS):
         changed, change = generic_change(gens, seed + 7919 * attempt)
         sat = saturate_variable(changed, opts=opts)
-        if not sat:
-            return []
-        changed2, change2 = generic_change(sat, seed + 7919 * attempt + 13)
+        changed2, _ = generic_change(sat, seed + 7919 * attempt + 13)
         sat2 = saturate_variable(changed2, opts=opts)
         # both are grevlex Groebner bases, so their leads carry the Hilbert
         # functions (Macaulay's theorem) without another completion
@@ -485,9 +522,25 @@ def saturation(gens, seed: int = 0, opts: BuchbergerOptions | None = None):
         h1 = hilbert_function(_lead_ideal(sat), d_max)
         h2 = hilbert_function(_lead_ideal(sat2), d_max)
         if h1 == h2:
-            back = [change.unapply(f) for f in sat]
-            return list(_complete_basis(back, opts=opts).elements)
+            return sat, change
     raise RuntimeError("saturation did not stabilize; field may be too small")
+
+
+def saturation(gens, seed: int = 0, opts: BuchbergerOptions | None = None):
+    """Full saturation (I : m^infinity), as the reduced basis in the
+    original coordinates.
+
+    The saturation is computed in generic coordinates (see
+    _generic_saturation), carried back through the inverse change and
+    completed once more.
+    """
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return []
+    if not all(g.is_homogeneous() for g in gens):
+        raise ValueError("saturation by the irrelevant ideal needs homogeneous input")
+    sat, change = _generic_saturation(gens, seed, opts)
+    return list(_complete_basis([change.unapply(f) for f in sat], opts=opts).elements)
 
 
 @dataclass(frozen=True)
@@ -507,7 +560,10 @@ def sat_defect(gens, seed: int = 0, opts: BuchbergerOptions | None = None) -> Sa
 
     The defect lives below the regularity of I, so both Hilbert functions
     are compared through that degree; the recorded bound is the closed ball
-    count binom(reg + n, n + 1), which every run also asserts.
+    count binom(reg + n, n + 1), which every run also asserts.  The
+    saturation's Hilbert function is read off the leads of its basis in
+    the generic coordinates where it was computed: a linear change of
+    coordinates keeps the Hilbert function, so nothing is carried back.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -516,17 +572,15 @@ def sat_defect(gens, seed: int = 0, opts: BuchbergerOptions | None = None) -> Sa
     for g in gens:
         if not g.is_homogeneous():
             raise ValueError("saturation defect needs homogeneous input")
-    if any(not t for t in [g.terms for g in gens]):
-        raise ValueError("zero generator")
     # unit ideal: nothing to saturate
     if any(g.total_degree() == 0 for g in gens):
         return SatDefect(0, {}, 0, 0)
 
     reg = regularity(_complete_resolution(gens, opts=opts))
-    sat = saturation(gens, seed=seed, opts=opts)
+    sat, _ = _generic_saturation(gens, seed, opts)
     cap = max(reg, 0)
     h_i = hilbert_function(initial_ideal(gens, opts=opts), cap)
-    h_sat = hilbert_function(_lead_ideal(sat), cap) if sat else [0] * (cap + 1)
+    h_sat = hilbert_function(_lead_ideal(sat), cap)
     by_degree = {}
     for d in range(cap + 1):
         diff = h_i[d] - h_sat[d]

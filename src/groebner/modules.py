@@ -566,7 +566,7 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
             append_element(rem, _combine(ring, coeffs, transform, nident) if track else ())
 
     if opts.reduce:
-        basis, transform = _interreduce(module, basis, transform)
+        basis, transform = _interreduce(module, basis, transform, opts)
         reduced = True
     else:
         reduced = False
@@ -574,8 +574,9 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
     return ModuleGroebnerBasis(module, basis, transform, gens, reduced, complete)
 
 
-def _interreduce(module, basis, transform):
-    """Minimal leads, full tail reduction, canonical sort."""
+def _interreduce(module, basis, transform, opts):
+    """Minimal leads, full tail reduction, canonical sort; the deadline of
+    opts is checked once per kept element."""
     def key(elem):
         lt = elem.lead_term()
         return (
@@ -599,6 +600,7 @@ def _interreduce(module, basis, transform):
     reduced_elements = []
     reduced_rows = []
     for pos, elem in enumerate(elements):
+        opts.check_deadline()
         others = elements[:pos] + elements[pos + 1:]
         other_rows = rows[:pos] + rows[pos + 1:]
         if others:
@@ -798,7 +800,11 @@ def minimalize_generators(items, opts: BuchbergerOptions | None = None):
     kept only when they fail to reduce to zero against a basis of what was
     already kept; graded Nakayama makes the survivor count intrinsic.  The
     working basis grows incrementally, pairing each kept candidate against
-    the prior completed prefix only.
+    the prior completed prefix only.  Every completion stops at the largest
+    candidate degree D (or the caller's smaller cap): for homogeneous input
+    a basis truncated at D decides membership in every degree up to D, and
+    each truncated basis has all its pairs up to D treated, which is all
+    that the prefix argument needs there.
     """
     items = list(items)
     if not items:
@@ -815,7 +821,10 @@ def minimalize_generators(items, opts: BuchbergerOptions | None = None):
         if not e.is_homogeneous():
             raise ValueError("minimal generators need homogeneous input")
 
-    run = replace(opts or BuchbergerOptions(), reduce=False, track_transform=False)
+    opts = opts or BuchbergerOptions()
+    top = max(e.degree() for e in elements)
+    cap = top if opts.degree_cap is None else min(opts.degree_cap, top)
+    run = replace(opts, reduce=False, track_transform=False, degree_cap=cap)
     order = sorted(range(len(elements)), key=lambda i: (elements[i].degree(), i))
     kept = []
     working = []

@@ -360,19 +360,6 @@ class Polynomial:
             raise ValueError("reorder requires the same field and variables")
         return ring.polynomial((t.coeff, t.monomial) for t in self.terms)
 
-    def substitute(self, ring: PolynomialRing, images: list) -> "Polynomial":
-        """Evaluate at x_i -> images[i], landing in the images' ring."""
-        if len(images) != self.ring.nvars:
-            raise ValueError("need one image per variable")
-        out = ring.zero()
-        for t in self.terms:
-            piece = ring.constant(t.coeff)
-            for e, img in zip(t.monomial, images):
-                if e:
-                    piece = piece * img**e
-            out = out + piece
-        return out
-
     # -- identity ------------------------------------------------------------
     def __eq__(self, other):
         return (

@@ -1,5 +1,7 @@
 """Completion: worked bases, criteria, transforms, canonical output."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,8 @@ from groebner import (
     is_groebner,
     normal_form,
 )
-from groebner.buchberger import BuchbergerOptions
+from groebner import modules
+from groebner.buchberger import BuchbergerOptions, DeadlineExceeded
 from groebner.ideals import initial_ideal
 from groebner.modules import ModuleTerm, surviving_pairs
 from groebner.oracle import ideal_dim_in_degree
@@ -205,3 +208,21 @@ def test_random_ideals_complete_to_groebner(data):
     assert is_groebner(gb.elements)
     for g in gens:
         assert normal_form(g, gb).is_zero
+
+
+def test_interreduction_checks_the_deadline(monkeypatch):
+    # [x, y] forms no S-pair, so only the interreduction can see the deadline
+    ring = PolynomialRing(GF(32003), ["x", "y"], GREVLEX)
+    x, y = ring.variables()
+    lifts = []
+    inner = modules._lift_spair
+
+    def spy(*args):
+        lifts.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(modules, "_lift_spair", spy)
+    with pytest.raises(DeadlineExceeded):
+        buchberger([x, y], deadline=time.monotonic() - 1.0)
+    assert not lifts
+    assert buchberger([x, y], deadline=time.monotonic() + 3600.0).elements == [x, y]

@@ -253,7 +253,9 @@ def test_membership_under_a_weight_order():
     assert not membership(x, gens).member
 
 
-def test_membership_completes_once(monkeypatch):
+def _count_engine_calls(monkeypatch):
+    """Spy on the completion engine at every binding the package reaches it
+    through; returns the list that grows by one per call."""
     from groebner import modules
 
     # the package's buchberger() function shadows its submodule's name
@@ -267,6 +269,11 @@ def test_membership_completes_once(monkeypatch):
 
     monkeypatch.setattr(modules, "module_buchberger", spy)
     monkeypatch.setattr(buchberger_module, "module_buchberger", spy)
+    return calls
+
+
+def test_membership_completes_once(monkeypatch):
+    calls = _count_engine_calls(monkeypatch)
     ring = PolynomialRing(QQ, ["x", "y"], GREVLEX)
     x, y = ring.variables()
     for g, gens, member in [
@@ -412,3 +419,154 @@ def test_generic_change_is_invertible():
     changed, change = generic_change(gens, seed=9)
     assert [change.unapply(f) for f in changed] == gens
     assert hilbert_function(changed, 5) == hilbert_function(gens, 5)
+
+
+# -- coordinate changes and the saturation defect ---------------------------
+
+def _expand_through_forms(f, mat, ring):
+    # independent expansion: each x_i becomes the linear form sum_j mat[i][j] x_j
+    forms = [
+        ring.polynomial(
+            (a, tuple(1 if k == j else 0 for k in range(ring.nvars)))
+            for j, a in enumerate(row)
+        )
+        for row in mat
+    ]
+    out = ring.zero()
+    for t in f.terms:
+        piece = ring.constant(t.coeff)
+        for form, e in zip(forms, t.monomial):
+            for _ in range(e):
+                piece = piece * form
+        out = out + piece
+    return out
+
+
+def _seeded_polynomials(ring, seed):
+    rng = random.Random(seed)
+    out = []
+    for homogeneous in (True, False, True, False):
+        terms = []
+        for _ in range(rng.randint(1, 6)):
+            d = 3 if homogeneous else rng.randint(0, 3)
+            mono = [0] * ring.nvars
+            for _ in range(d):
+                mono[rng.randrange(ring.nvars)] += 1
+            terms.append((ring.field.random_scalar(rng), tuple(mono)))
+        out.append(ring.polynomial(terms))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "Fp"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_coordinate_change_matches_the_expanded_forms(field, seed):
+    ring = PolynomialRing(field, ["x", "y", "z"], GREVLEX)
+    polys = _seeded_polynomials(ring, seed)
+    _, change = generic_change([ring.one()], seed=seed)
+    for f in polys:
+        assert change.apply(f) == _expand_through_forms(f, change.matrix, ring)
+        assert change.unapply(f) == _expand_through_forms(f, change.inverse, ring)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "Fp"])
+def test_coordinate_change_shares_its_tables(field):
+    ring = PolynomialRing(field, ["x", "y", "z", "w"], GREVLEX)
+    polys = _seeded_polynomials(ring, 7) + _seeded_polynomials(ring, 8)
+    _, change = generic_change([ring.one()], seed=4)
+    first = [change.apply(f) for f in polys]
+    expanded = len(change._forward)
+    # a second pass through the same change expands no monomial again
+    assert [change.apply(f) for f in polys] == first
+    assert len(change._forward) == expanded
+    assert [change.unapply(g) for g in first] == polys
+    assert [change.apply(change.unapply(f)) for f in polys] == polys
+    # the tables stay out of the dataclass's equality and repr
+    assert change == type(change)(ring, change.matrix, change.inverse)
+    assert "_forward" not in repr(change)
+
+
+def test_sat_defect_stays_in_generic_coordinates(monkeypatch):
+    from groebner import free_resolution
+    from groebner.ideals import CoordinateChange
+
+    _, gens = random_ideal(1502, 4, 3, 2)
+    x = gens[0].ring.variables()
+    gens = [g * v for g in gens for v in x[:2]]
+    calls = _count_engine_calls(monkeypatch)
+    free_resolution(gens)
+    initial_ideal(gens)
+    reference = len(calls)
+    saturation(gens, seed=5)
+    saturation_calls = len(calls) - reference
+    # a stable first attempt: two variable saturations of two completions
+    # each, then one completion in the original coordinates
+    assert saturation_calls == 5
+
+    def no_unapply(self, f):
+        raise AssertionError("sat_defect carried the saturation back")
+
+    monkeypatch.setattr(CoordinateChange, "unapply", no_unapply)
+    calls.clear()
+    sd = sat_defect(gens, seed=5)
+    assert sd.total > 0
+    assert len(calls) == reference + saturation_calls - 1
+
+
+@pytest.mark.parametrize("seed,n_vars,n_gens,degree", [
+    (1500, 3, 2, 2), (1501, 3, 3, 2), (1502, 4, 3, 2), (1503, 3, 2, 3), (1504, 4, 2, 2),
+])
+def test_sat_defect_matches_the_public_saturation(seed, n_vars, n_gens, degree):
+    from groebner import free_resolution, regularity
+
+    _, gens = random_ideal(seed, n_vars, n_gens, degree)
+    x = gens[0].ring.variables()
+    for ideal in (gens, [g * v for g in gens for v in x]):
+        reg = regularity(free_resolution(ideal))
+        h_i = hilbert_function(ideal, reg)
+        h_sat = hilbert_function(saturation(ideal, seed=seed), reg)
+        by_degree = {d: h_i[d] - h_sat[d] for d in range(reg + 1) if h_i[d] != h_sat[d]}
+        sd = sat_defect(ideal, seed=seed)
+        assert (sd.by_degree, sd.total, sd.regularity) == (
+            by_degree, sum(by_degree.values()), reg
+        )
+
+
+# -- edge cases of membership and homogenization ------------------------------
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "Fp"])
+def test_membership_in_the_zero_ideal(field, monkeypatch):
+    ring = PolynomialRing(field, ["x", "y"], GREVLEX)
+    x, y = ring.variables()
+    calls = _count_engine_calls(monkeypatch)
+    cert = membership(ring.zero(), [ring.zero(), ring.zero()])
+    assert cert.member
+    assert cert.coefficients == (ring.zero(), ring.zero())
+    assert cert.max_coeff_degree == 0
+    assert cert.expand([ring.zero(), ring.zero()]) == ring.zero()
+    cert = membership(x * y - 1, [ring.zero()])
+    assert not cert.member
+    assert cert.coefficients == ()
+    assert cert.max_coeff_degree is None
+    assert not calls
+
+
+def test_homogenize_under_a_weight_order():
+    ring = PolynomialRing(QQ, ["x", "y"], weight_order((-1, 0)))
+    x, y = ring.variables()
+    hring, hgens, old = homogenize([x * y - 1])
+    assert old == ring
+    assert hring.order == weight_order((-1, 0, 0))
+    hx, hy, u = hring.variables()
+    assert hgens == [hx * hy - u * u]
+    assert dehomogenize_polynomial(hgens[0], ring) == x * y - 1
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_homogenize_keeps_other_orders(order):
+    ring = PolynomialRing(QQ, ["x", "y"], order)
+    x, y = ring.variables()
+    hring, hgens, _ = homogenize([x * x + y, x * y - 1])
+    assert hring == PolynomialRing(QQ, ["x", "y", "u"], order)
+    hx, hy, u = hring.variables()
+    assert hgens == [hx * hx + hy * u, hx * hy - u * u]
+    assert [str(g) for g in hgens] == ["x^2 + y*u", "x*y - u^2"]

@@ -200,3 +200,46 @@ def test_schreyer_order_prefers_smaller_index_on_ties():
     assert isinstance(m1.order, SchreyerOrder)
     # both basis elements map to the same lead monomial x*y
     assert m1.order.key((0, 0), 0) > m1.order.key((0, 0), 1)
+
+
+def _spy_completions(monkeypatch):
+    seen = []  # (degree cap, largest degree of an element the completion added)
+    inner = modules.module_buchberger
+
+    def spy(gens, opts=None, *args, **kwargs):
+        out = inner(gens, opts, *args, **kwargs)
+        # without reduction the generators stay a prefix of the output
+        added = out.elements[len(gens):]
+        seen.append((opts.degree_cap, max((e.degree() for e in added), default=0)))
+        return out
+
+    monkeypatch.setattr(modules, "module_buchberger", spy)
+    return seen
+
+
+def _minimal_by_full_bases(gens):
+    # the uncapped reference: keep a candidate unless a complete basis of
+    # the kept ones contains it
+    kept = []
+    for i in sorted(range(len(gens)), key=lambda i: (gens[i].total_degree(), i)):
+        if not (kept and buchberger(kept).contains(gens[i])):
+            kept.append(gens[i])
+    return kept
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_minimalize_generators_stops_at_the_top_candidate_degree(seed, monkeypatch):
+    ring, gens = random_ideal(400 + seed, 3 + seed % 2, 3, 2)
+    x = ring.variables()
+    items = [gens[0] * x[1]] + gens + [g * v for g in gens for v in x[:2]]
+    items.append(gens[1] * x[0] + gens[2] * x[-1])
+    top = max(f.total_degree() for f in items)
+    seen = _spy_completions(monkeypatch)
+    kept = minimalize_generators(items)
+    assert seen and all(cap == top and deg <= top for cap, deg in seen)
+    assert kept == _minimal_by_full_bases(items)
+
+    # a smaller cap of the caller wins
+    seen.clear()
+    minimalize_generators(items, BuchbergerOptions(degree_cap=2))
+    assert seen and all(cap == 2 and deg <= 2 for cap, deg in seen)
