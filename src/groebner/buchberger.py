@@ -2,9 +2,9 @@
 
 This is the rank-1 face of the module engine in modules.py, which also
 holds the one pair criterion, the Gebauer–Möller update.  Basis elements
-come back monic with a transform matrix over the original generators, so
-every basis element can be re-expanded exactly as a combination of the
-input.
+come back monic with a transform matrix over the original generators, built
+when first read, so every basis element can be re-expanded exactly as a
+combination of the input.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from .division import divide
 from .modules import (
     BuchbergerOptions,
     DeadlineExceeded,
+    ModuleGroebnerBasis,
     as_module_elements,
     is_module_groebner,
     module_buchberger,
@@ -30,17 +31,22 @@ class GroebnerBasis:
     """Reduced (or raw) basis with provenance.
 
     elements   monic polynomials, canonically sorted when reduced
-    transform  row i writes elements[i] as sum(transform[i][j] * generators[j])
+    transform  row i writes elements[i] as sum(transform[i][j] * generators[j]);
+               the module basis builds the rows on first read
     """
 
-    def __init__(self, ring, elements, transform, generators, reduced, complete):
+    def __init__(self, ring, generators, basis: ModuleGroebnerBasis):
         self.ring = ring
         self.order = ring.order
-        self.elements = list(elements)
-        self.transform = [tuple(row) for row in transform]
+        self.elements = [e.comps[0] for e in basis.elements]
         self.generators = list(generators)
-        self.reduced = reduced
-        self.complete = complete
+        self.reduced = basis.reduced
+        self.complete = basis.complete
+        self._basis = basis
+
+    @property
+    def transform(self):
+        return self._basis.transform
 
     def __len__(self):
         return len(self.elements)
@@ -94,9 +100,7 @@ def buchberger(gens, order: OrderSpec | None = None, opts: BuchbergerOptions | N
         gens = [g.reorder(ring) for g in gens]
 
     _, elements = as_module_elements(gens)
-    result = module_buchberger(elements, opts)
-    polys = [e.comps[0] for e in result.elements]
-    return GroebnerBasis(ring, polys, result.transform, gens, result.reduced, result.complete)
+    return GroebnerBasis(ring, gens, module_buchberger(elements, opts))
 
 
 def is_groebner(F, order: OrderSpec | None = None) -> bool:

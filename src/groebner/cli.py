@@ -242,6 +242,8 @@ def _run(args) -> int:
             "result": out.result,
             "timings": {"compute": elapsed},
         }
+        if not out.complete:
+            payload["complete"] = False
         print(json.dumps(payload, indent=2, default=str))
     else:
         for line in out.result if out.lines is None else out.lines:

@@ -58,8 +58,11 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def normal_form(g: Polynomial, basis) -> Polynomial:
     """Remainder of g on division by a Groebner basis; canonical modulo the
-    ideal, and zero exactly when g lies in it."""
-    elements = getattr(basis, "elements", basis)
-    if not elements:
+    ideal, and zero exactly when g lies in it.  A basis object answers
+    through its own normal_form, which first moves g to the basis's order;
+    a plain list is divided through as it stands."""
+    if hasattr(basis, "normal_form"):
+        return basis.normal_form(g)
+    if not basis:
         return g
-    return divide(g, elements).remainder
+    return divide(g, basis).remainder

@@ -281,18 +281,20 @@ def hilbert_function(ideal, d_max: int, opts: BuchbergerOptions | None = None) -
                 raise ValueError("Hilbert functions need homogeneous input")
         mono = initial_ideal(gens, opts=opts)
 
-    nvars = mono.ring.nvars
     numerator = _series_numerator(tuple(sorted(mono.gens)), {})
-    out = []
-    for d in range(d_max + 1):
-        out.append(
-            sum(
-                c * comb(d - e + nvars - 1, nvars - 1)
-                for e, c in numerator.items()
-                if e <= d
-            )
+    return _series_values(numerator, mono.ring.nvars, d_max)
+
+
+def _series_values(numerator: dict, nvars: int, d_max: int) -> list:
+    """Coefficients of t^0..t^d_max in numerator / (1-t)^nvars."""
+    return [
+        sum(
+            c * comb(d - e + nvars - 1, nvars - 1)
+            for e, c in numerator.items()
+            if e <= d
         )
-    return out
+        for d in range(d_max + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +563,12 @@ def sat_defect(gens, seed: int = 0, opts: BuchbergerOptions | None = None) -> Sa
     The defect lives below the regularity of I, so both Hilbert functions
     are compared through that degree; the recorded bound is the closed ball
     count binom(reg + n, n + 1), which every run also asserts.  The
-    saturation's Hilbert function is read off the leads of its basis in
-    the generic coordinates where it was computed: a linear change of
-    coordinates keeps the Hilbert function, so nothing is carried back.
+    Hilbert function of S/I is read off the Betti table of the minimal
+    resolution that gives the regularity: its series has numerator 1 minus
+    the table's alternating sum over (1-t)^nvars.  The saturation's is read
+    off the leads of its basis in the generic coordinates where it was
+    computed: a linear change of coordinates keeps the Hilbert function, so
+    nothing is carried back.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -576,10 +581,13 @@ def sat_defect(gens, seed: int = 0, opts: BuchbergerOptions | None = None) -> Sa
     if any(g.total_degree() == 0 for g in gens):
         return SatDefect(0, {}, 0, 0)
 
-    reg = regularity(_complete_resolution(gens, opts=opts))
+    res = _complete_resolution(gens, opts=opts)
+    reg = regularity(res)
     sat, _ = _generic_saturation(gens, seed, opts)
     cap = max(reg, 0)
-    h_i = hilbert_function(initial_ideal(gens, opts=opts), cap)
+    numerator = {j: -c for j, c in res.betti().alternating_numerator().items()}
+    numerator[0] = numerator.get(0, 0) + 1
+    h_i = _series_values(numerator, ring.nvars, cap)
     h_sat = hilbert_function(_lead_ideal(sat), cap)
     by_degree = {}
     for d in range(cap + 1):

@@ -1,9 +1,10 @@
 """Free modules, module monomial orders, and the Buchberger completion engine.
 
 Everything Groebner-shaped in this package funnels through one engine that
-works over a free module; ideals are the rank-1 case.  The engine keeps a
-transformation row per basis element expressing it in the input generators,
-which is what powers membership certificates and syzygy pushforward.
+works over a free module; ideals are the rank-1 case.  The engine records
+how it made each basis element, and the basis replays those records into
+transformation rows over the input generators when first read, which is
+what powers membership certificates and syzygy pushforward.
 
 One S-pair lift, ``_lift_spair``, serves the completion, the Groebner check
 and the Schreyer syzygies: it divides the S-element of a pair through the
@@ -21,7 +22,6 @@ smaller component index).
 from __future__ import annotations
 
 import heapq
-import random
 import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -361,13 +361,12 @@ def module_divide(g: ModuleElement, divisors) -> ModuleDivisionResult:
 
 @dataclass
 class BuchbergerOptions:
-    """Knobs for the completion loop."""
+    """Knobs for the completion loop: interreduce the output, stop above a
+    pair degree, give up past a deadline."""
 
     reduce: bool = True
     degree_cap: int | None = None
-    select_seed: int | None = None
     deadline: float | None = None  # absolute time.monotonic() stamp
-    track_transform: bool = True
 
     def check_deadline(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -375,16 +374,27 @@ class BuchbergerOptions:
 
 
 class ModuleGroebnerBasis:
-    """Completion output: monic basis elements plus transform rows writing
-    each element as a combination of the original generators."""
+    """Completion output: monic basis elements, and transform rows writing
+    each element as a combination of the original generators.  The rows
+    are replayed from the completion's records on first read and kept; the
+    records are then dropped."""
 
-    def __init__(self, module, elements, transform, generators, reduced, complete):
+    def __init__(self, module, elements, generators, reduced, complete,
+                 history, reduction):
         self.module = module
         self.elements = list(elements)
-        self.transform = [tuple(row) for row in transform]
         self.generators = list(generators)
         self.reduced = reduced
         self.complete = complete
+        self._records = (history, reduction)
+        self._transform = None
+
+    @property
+    def transform(self):
+        if self._transform is None:
+            self._transform = _replay(self.module.ring, len(self.generators), *self._records)
+            self._records = None
+        return self._transform
 
     def __len__(self):
         return len(self.elements)
@@ -475,9 +485,8 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
     which the syzygy machinery relies on.
 
     Pairs are pruned by the Gebauer–Möller update (the coprime rule for
-    ideals only) and treated by ascending (degree, i, j) from a heap, or
-    uniformly at random with opts.select_seed.  Under opts.degree_cap the
-    loop stops at the first pair above the cap.
+    ideals only) and treated by ascending (degree, i, j) from a heap.
+    Under opts.degree_cap the loop stops at the first pair above the cap.
 
     groebner_prefix asserts that the first so-many generators are already a
     basis of what they generate, so their mutual pairs can be skipped; pass
@@ -504,11 +513,9 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
                 )
 
     product_rule = module.rank == 1
-    rng = random.Random(opts.select_seed) if opts.select_seed is not None else None
-    track = opts.track_transform
 
     basis = []
-    transform = []
+    history = []  # (scale, source) per element; see _replay
     leads = []
     pending = {}  # untreated pair (i, j) -> lcm
     heap = []     # (pair degree, i, j); entries the update dropped are stale
@@ -517,15 +524,14 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
     def pair_degree(i, lcm):
         return mono_degree(lcm) + module.shifts[leads[i].component]
 
-    def append_element(elem, row, pair_up=True):
+    def append_element(elem, source, pair_up=True):
         lc = elem.lead_term().coeff
+        scale = None
         if lc != field.one:
-            c = field.inv(lc)
-            elem = elem.scalar_mul(c)
-            if track:
-                row = tuple(p.scalar_mul(c) for p in row)
+            scale = field.inv(lc)
+            elem = elem.scalar_mul(scale)
         basis.append(elem)
-        transform.append(row)
+        history.append((scale, source))
         leads.append(elem.lead_term())
         new = len(basis) - 1
         if not pair_up:
@@ -536,47 +542,62 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
         for (i, j), lcm in fresh.items():
             heapq.heappush(heap, (pair_degree(i, lcm), i, j))
 
-    nident = len(gens)
     for idx, g in enumerate(gens):
-        row = ()
-        if track:
-            row = tuple(ring.one() if k == idx else ring.zero() for k in range(nident))
-        append_element(g, row, pair_up=idx >= groebner_prefix)
+        append_element(g, idx, pair_up=idx >= groebner_prefix)
 
     complete = True
     cap = opts.degree_cap
     while pending:
         opts.check_deadline()
-        if rng is None:
-            degree, i, j = heapq.heappop(heap)
-            if (i, j) not in pending:
-                continue
-        else:
-            i, j = rng.choice(sorted(pending))
-            degree = pair_degree(i, pending[(i, j)])
+        degree, i, j = heapq.heappop(heap)
+        if (i, j) not in pending:
+            continue
         del pending[(i, j)]
         if cap is not None and degree > cap:
             complete = False
-            if rng is None:
-                break  # every pair left on the heap is above the cap too
-            continue
+            break  # every pair left on the heap is above the cap too
 
         rem, coeffs = _lift_spair(basis, leads, i, j)
         if not rem.is_zero:
-            append_element(rem, _combine(ring, coeffs, transform, nident) if track else ())
+            append_element(rem, [(k, c) for k, c in enumerate(coeffs) if not c.is_zero])
 
+    reduction = None
     if opts.reduce:
-        basis, transform = _interreduce(module, basis, transform, opts)
-        reduced = True
-    else:
-        reduced = False
-
-    return ModuleGroebnerBasis(module, basis, transform, gens, reduced, complete)
+        basis, reduction = _interreduce(module, basis, opts)
+    return ModuleGroebnerBasis(module, basis, gens, opts.reduce, complete, history, reduction)
 
 
-def _interreduce(module, basis, transform, opts):
+def _replay(ring, width, history, reduction):
+    """Transform rows from a completion's records.  history holds one
+    (scale, source) per appended element: the inverse lead coefficient it
+    was scaled by (None for none), and a generator index or the nonzero
+    (index, coefficient) pairs over the earlier elements.  reduction, from
+    _interreduce, holds the kept positions, each kept element's nonzero
+    (position, quotient) pairs over the other kept ones, and their order."""
+    rows = []
+    for scale, source in history:
+        if isinstance(source, int):
+            row = tuple(ring.one() if k == source else ring.zero() for k in range(width))
+        else:
+            row = _combine(ring, [c for _, c in source], [rows[k] for k, _ in source], width)
+        if scale is not None:
+            row = tuple(p.scalar_mul(scale) for p in row)
+        rows.append(row)
+    if reduction is None:
+        return rows
+    kept, quotients, order = reduction
+    rows = [rows[i] for i in kept]
+    reduced = []
+    for row, pairs in zip(rows, quotients):
+        pulled = _combine(ring, [q for _, q in pairs], [rows[k] for k, _ in pairs], width)
+        reduced.append(tuple(r - c for r, c in zip(row, pulled)))
+    return [reduced[pos] for pos in order]
+
+
+def _interreduce(module, basis, opts):
     """Minimal leads, full tail reduction, canonical sort; the deadline of
-    opts is checked once per kept element."""
+    opts is checked once per kept element.  Returns the elements and the
+    record from which _replay reduces their rows."""
     def key(elem):
         lt = elem.lead_term()
         return (
@@ -596,26 +617,24 @@ def _interreduce(module, basis, transform, opts):
         kept.append(i)
 
     elements = [basis[i] for i in kept]
-    rows = [transform[i] for i in kept]
-    reduced_elements = []
-    reduced_rows = []
+    reduced = []
+    quotients = []
     for pos, elem in enumerate(elements):
         opts.check_deadline()
         others = elements[:pos] + elements[pos + 1:]
-        other_rows = rows[:pos] + rows[pos + 1:]
+        pairs = []
         if others:
             div = module_divide(elem, others)
-            pulled = _combine(module.ring, div.quotients, other_rows, len(rows[pos]))
-            reduced_elements.append(div.remainder)
-            reduced_rows.append(tuple(r - c for r, c in zip(rows[pos], pulled)))
-        else:
-            reduced_elements.append(elem)
-            reduced_rows.append(rows[pos])
+            elem = div.remainder
+            pairs = [
+                (k if k < pos else k + 1, q)
+                for k, q in enumerate(div.quotients) if not q.is_zero
+            ]
+        reduced.append(elem)
+        quotients.append(pairs)
 
-    paired = sorted(zip(reduced_elements, reduced_rows), key=lambda er: key(er[0]))
-    elements = [e for e, _ in paired]
-    rows = [r for _, r in paired]
-    return elements, rows
+    order = sorted(range(len(reduced)), key=lambda pos: key(reduced[pos]))
+    return [reduced[pos] for pos in order], (kept, quotients, order)
 
 
 def _neg_key(key):
@@ -730,7 +749,7 @@ def syzygy_generators(elements, opts: BuchbergerOptions | None = None,
     nonzero rows of (Id - Q T).  Any relation h among the inputs splits as
     h = h (Id - Q T) + (h Q) T with h Q a syzygy of F, so these generate.
     """
-    run = replace(opts or BuchbergerOptions(), reduce=True, track_transform=True)
+    run = replace(opts or BuchbergerOptions(), reduce=True)
     basis = module_buchberger(elements, run)
     if not basis.complete:
         raise CapInterrupted("degree cap interrupted the completion")
@@ -824,7 +843,7 @@ def minimalize_generators(items, opts: BuchbergerOptions | None = None):
     opts = opts or BuchbergerOptions()
     top = max(e.degree() for e in elements)
     cap = top if opts.degree_cap is None else min(opts.degree_cap, top)
-    run = replace(opts, reduce=False, track_transform=False, degree_cap=cap)
+    run = replace(opts, reduce=False, degree_cap=cap)
     order = sorted(range(len(elements)), key=lambda i: (elements[i].degree(), i))
     kept = []
     working = []

@@ -14,6 +14,7 @@ from groebner import (
     divide,
     is_groebner,
     normal_form,
+    random_ideal,
 )
 from groebner import modules
 from groebner.buchberger import BuchbergerOptions, DeadlineExceeded
@@ -77,10 +78,39 @@ def test_is_groebner_cases(cubic_lex, ring_qq_xy):
 
 
 def test_transform_expands_exactly(cubic_lex):
+    # unreduced and capped bases replay their rows from partial records
+    for gens in (cubic_lex[1], random_ideal(1003, 4, 5, 2)[1]):
+        for opts in ({}, {"reduce": False}, {"degree_cap": 2}, {"reduce": False, "degree_cap": 2}):
+            gb = buchberger(gens, **opts)
+            for i in range(len(gb)):
+                assert gb.expand_transform_row(i) == gb.elements[i]
+
+
+def test_transform_rows_are_built_on_first_read(monkeypatch, cubic_lex):
+    from groebner.ideals import eliminate, hilbert_function, saturate_variable
+    from groebner.modules import minimalize_generators
+
+    calls = []
+    inner = modules._combine
+
+    def spy(*args):
+        calls.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(modules, "_combine", spy)
     ring, gens = cubic_lex
+    initial_ideal(gens)
+    eliminate(gens, 1)
+    saturate_variable(gens)
+    hilbert_function(gens, 4)
+    minimalize_generators(gens)
     gb = buchberger(gens)
-    for i in range(len(gb)):
-        assert gb.expand_transform_row(i) == gb.elements[i]
+    assert calls == []
+    rows = gb.transform
+    assert calls
+    built = len(calls)
+    assert gb.transform is rows
+    assert len(calls) == built
 
 
 def test_empty_input_rejected():
@@ -95,12 +125,21 @@ def test_degree_cap_flags_partial(cubic_lex):
     assert all(f.total_degree() <= 2 for f in gb.elements)
 
 
-def test_reduced_basis_is_canonical_across_selection_seeds(cubic_lex):
+def test_reduced_basis_is_canonical_across_generator_orders(cubic_lex):
+    # a new generator order changes which pairs are treated and when
+    import itertools
+    import random
+
     ring, gens = cubic_lex
     reference = buchberger(gens).elements
+    for perm in itertools.permutations(gens):
+        assert buchberger(list(perm)).elements == reference
+    _, gens = random_ideal(1003, 4, 5, 2)
+    reference = buchberger(gens).elements
     for seed in (1, 2, 3):
-        shuffled = buchberger(gens, opts=BuchbergerOptions(select_seed=seed)).elements
-        assert shuffled == reference
+        shuffled = list(gens)
+        random.Random(seed).shuffle(shuffled)
+        assert buchberger(shuffled).elements == reference
 
 
 def test_reduced_basis_same_from_either_presentation(cubic_lex):

@@ -147,6 +147,15 @@ def test_degree_cap_exit_code(capsys):
     assert rc == 2
 
 
+def test_gb_json_marks_a_partial_basis(capsys):
+    rc = main(["gb", "--order", "lex", "--degree-cap", "2", "--json", CUBIC])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["complete"] is False
+    rc = main(["gb", "--order", "lex", "--json", CUBIC])
+    assert rc == 0
+    assert "complete" not in json.loads(capsys.readouterr().out)
+
+
 def test_hilbert_honors_degree_cap(capsys):
     rc = main(["hilbert", "--dmax", "5", "--degree-cap", "1", CUBIC])
     assert rc == 2

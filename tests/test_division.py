@@ -98,3 +98,14 @@ def test_normal_form_of_standard_monomial(ring_qq_xy):
     # in(I) = (x^2, xy, y^3), so y^2 is a standard monomial
     assert normal_form(y * y, gb) == y * y
     assert normal_form(x * x * y, gb).is_zero
+
+
+def test_normal_form_takes_the_basis_order():
+    # a grevlex polynomial against a lex basis: the basis reorders it
+    from groebner import buchberger
+
+    x, y, z = PolynomialRing(QQ, ["x", "y", "z"], GREVLEX).variables()
+    g = x * x * y + y ** 3 * z + x * z
+    gb = buchberger([x * x + y * z, x * y - z * z], order=LEX)
+    assert normal_form(g, gb) == gb.normal_form(g)
+    assert normal_form(g, gb).ring.order == LEX

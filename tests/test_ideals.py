@@ -494,7 +494,6 @@ def test_sat_defect_stays_in_generic_coordinates(monkeypatch):
     gens = [g * v for g in gens for v in x[:2]]
     calls = _count_engine_calls(monkeypatch)
     free_resolution(gens)
-    initial_ideal(gens)
     reference = len(calls)
     saturation(gens, seed=5)
     saturation_calls = len(calls) - reference
