@@ -33,6 +33,7 @@ from .poly import (
     mono_degree,
     mono_div,
     mono_lcm,
+    mono_mask,
     mono_mul,
 )
 
@@ -163,19 +164,23 @@ class FreeModule:
 
 
 class ModuleElement:
-    """Immutable element of a free module, stored componentwise."""
+    """Immutable element of a free module, stored componentwise.  Its lead
+    term is computed on first request and kept."""
 
-    __slots__ = ("module", "comps")
+    __slots__ = ("module", "comps", "_lead")
 
     def __init__(self, module: FreeModule, comps: tuple):
         self.module = module
         self.comps = comps
+        self._lead = None
 
     @property
     def is_zero(self) -> bool:
         return all(p.is_zero for p in self.comps)
 
     def lead_term(self) -> ModuleTerm:
+        if self._lead is not None:
+            return self._lead
         order = self.module.order
         best = None
         best_key = None
@@ -189,6 +194,7 @@ class ModuleElement:
                 best = ModuleTerm(t.coeff, t.monomial, ci)
         if best is None:
             raise ValueError("zero module element has no lead term")
+        self._lead = best
         return best
 
     def degree(self) -> int:
@@ -289,22 +295,33 @@ class ModuleDivisionResult:
     steps: int
 
 
-def module_divide(g: ModuleElement, divisors) -> ModuleDivisionResult:
+DEADLINE_STRIDE = 256  # division steps between two deadline checks
+
+
+def module_divide(g: ModuleElement, divisors,
+                  opts: BuchbergerOptions | None = None) -> ModuleDivisionResult:
     """Least-index division of g by a list of module elements.
 
     Works on one mutable component list, with each component's lead key
     cached, so a reduction step only touches the components the chosen
-    divisor actually has.
+    divisor actually has.  A divisor's lead is compared by exponents only
+    when its divisibility mask (poly.mono_mask) fits inside the current
+    lead's, which passes every true divisor.  Under opts the deadline is
+    checked every DEADLINE_STRIDE steps.
     """
     divisors = list(divisors)
     module = g.module
     ring = module.ring
     field = ring.field
     order = module.order
-    leads = [f.lead_term() for f in divisors]
-    by_component = {}
-    for i, lt in enumerate(leads):
-        by_component.setdefault(lt.component, []).append(i)
+    mask = ring.monomial_mask
+    candidates = {}  # component -> [(index, lead, lead mask)] by ascending index
+    for i, f in enumerate(divisors):
+        lt = f.lead_term()
+        candidates.setdefault(lt.component, []).append((i, lt, mask(lt.monomial)))
+    check = None
+    if opts is not None and opts.deadline is not None:
+        check = opts.check_deadline
 
     comps = list(g.comps)
     keys = [
@@ -312,6 +329,7 @@ def module_divide(g: ModuleElement, divisors) -> ModuleDivisionResult:
         for ci, p in enumerate(comps)
     ]
     quotients = [{} for _ in divisors]
+    inverses = {}  # divisor index -> inverse of its lead coefficient
     rem_terms = [[] for _ in comps]
     steps = 0
     while True:
@@ -323,11 +341,17 @@ def module_divide(g: ModuleElement, divisors) -> ModuleDivisionResult:
                 best_ci = ci
         if best_ci < 0:
             break
-        t = comps[best_ci].lead_term
-        for i in by_component.get(best_ci, ()):
-            q = mono_div(t.monomial, leads[i].monomial)
+        t = comps[best_ci].terms[0]
+        outside = ~mask(t.monomial)
+        for i, lt, lead_mask in candidates.get(best_ci, ()):
+            if lead_mask & outside:
+                continue
+            q = mono_div(t.monomial, lt.monomial)
             if q is not None:
-                c = field.div(t.coeff, leads[i].coeff)
+                inv = inverses.get(i)
+                if inv is None:
+                    inv = inverses[i] = field.inv(lt.coeff)
+                c = field.mul(t.coeff, inv)
                 bucket = quotients[i]
                 bucket[q] = field.add(bucket[q], c) if q in bucket else c
                 for ci2, fp in enumerate(divisors[i].comps):
@@ -347,11 +371,16 @@ def module_divide(g: ModuleElement, divisors) -> ModuleDivisionResult:
                 None if shorter.is_zero else order.key(shorter.lead_monomial, best_ci)
             )
         steps += 1
+        if check is not None and not steps % DEADLINE_STRIDE:
+            check()
 
     remainder = ModuleElement(
         module, tuple(Polynomial(ring, tuple(ts)) for ts in rem_terms)
     )
-    qpolys = tuple(ring.polynomial((c, m) for m, c in b.items()) for b in quotients)
+    zero = ring.zero()
+    qpolys = tuple(
+        ring.polynomial((c, m) for m, c in b.items()) if b else zero for b in quotients
+    )
     return ModuleDivisionResult(remainder, qpolys, steps)
 
 
@@ -409,69 +438,82 @@ class ModuleGroebnerBasis:
         return self.normal_form(g).is_zero
 
 
-def gebauer_moller_update(pending, live, leads, new, product_rule):
+def gebauer_moller_update(pending, live, leads, masks, new, product_rule):
     """Gebauer–Möller pair update for the lead leads[new] joining the basis.
 
     pending maps every untreated pair (i, j), i < j, to the lcm of its
     leads; live lists the earlier indices whose leads no later lead
-    divides.  Both are edited in place.  An old pair goes when the new lead
-    divides its lcm and the lcm of neither sub-pair with the new lead equals
-    it (the B_k rule).  Of the new pairs (i, new), i live, one per lcm
-    survives, none whose lcm is a proper multiple of another's (M and F),
-    and with product_rule none of a class holding coprime leads.  Without
-    product_rule the kept and treated pairs' trivial syzygies generate the
-    syzygies of the leads, under any selection order (Gebauer and Moller,
-    1988).  Returns the surviving new pairs as a dict (i, new) -> lcm.
+    divides.  Both are edited in place.  masks[k] is the divisibility mask
+    of leads[k] (poly.mono_mask): a mask test only rules divisibility out,
+    and mono_div confirms every test it passes.  An old pair goes when the
+    new lead divides its lcm and the lcm of neither sub-pair with the new
+    lead equals it (the B_k rule).  Of the new pairs (i, new), i live, one
+    per lcm survives, none whose lcm is a proper multiple of another's (M
+    and F), and with product_rule none of a class holding coprime leads.
+    Without product_rule the kept and treated pairs' trivial syzygies
+    generate the syzygies of the leads, under any selection order (Gebauer
+    and Moller, 1988).  Returns the surviving new pairs as a dict
+    (i, new) -> lcm.
     """
     mono, comp = leads[new].monomial, leads[new].component
-    for (i, j), lcm in list(pending.items()):
-        if (
-            leads[i].component == comp
-            and mono_div(lcm, mono) is not None
-            and mono_lcm(leads[i].monomial, mono) != lcm
-            and mono_lcm(leads[j].monomial, mono) != lcm
-        ):
-            del pending[(i, j)]
+    new_mask = masks[new]
+    doomed = [
+        pair for pair, lcm in pending.items()
+        if leads[pair[0]].component == comp
+        and not new_mask & ~(masks[pair[0]] | masks[pair[1]])
+        and mono_div(lcm, mono) is not None
+        and mono_lcm(leads[pair[0]].monomial, mono) != lcm
+        and mono_lcm(leads[pair[1]].monomial, mono) != lcm
+    ]
+    for pair in doomed:
+        del pending[pair]
 
-    classes = {}  # lcm -> [least index i, some pair of the class is coprime]
+    # lcm -> [least index i, some pair of the class is coprime, lcm mask, degree]
+    classes = {}
     for i in live:
         lt = leads[i]
         if lt.component != comp:
             continue
         lcm = mono_lcm(lt.monomial, mono)
-        coprime = product_rule and lcm == mono_mul(lt.monomial, mono)
+        coprime = product_rule and not masks[i] & masks[new]
         if lcm in classes:
             classes[lcm][1] = classes[lcm][1] or coprime
         else:
-            classes[lcm] = [i, coprime]
+            classes[lcm] = [i, coprime, masks[i] | masks[new], mono_degree(lcm)]
     fresh = {}
-    for lcm, (i, coprime) in classes.items():
+    for lcm, (i, coprime, lcm_mask, degree) in classes.items():
+        # a proper divisor of lcm has a smaller degree
         if coprime or any(
-            other != lcm and mono_div(lcm, other) is not None for other in classes
+            d < degree and not m & ~lcm_mask and mono_div(lcm, other) is not None
+            for other, (_, _, m, d) in classes.items()
         ):
             continue
         fresh[(i, new)] = lcm
 
-    _join_live(live, leads, new)
+    _join_live(live, leads, masks, new)
     return fresh
 
 
-def _join_live(live, leads, new):
+def _join_live(live, leads, masks, new):
     """Add new to live, retiring the leads it divides: their later pairs
     are covered through new."""
     mono, comp = leads[new].monomial, leads[new].component
+    new_mask = masks[new]
     live[:] = [
         i for i in live
-        if leads[i].component != comp or mono_div(leads[i].monomial, mono) is None
+        if leads[i].component != comp
+        or new_mask & ~masks[i]
+        or mono_div(leads[i].monomial, mono) is None
     ]
     live.append(new)
 
 
 def surviving_pairs(leads, product_rule: bool = True):
     """Pairs (i, j) that the update keeps when the leads join in order."""
+    masks = [mono_mask(lt.monomial) for lt in leads]
     pending, live = {}, []
     for new in range(len(leads)):
-        pending.update(gebauer_moller_update(pending, live, leads, new, product_rule))
+        pending.update(gebauer_moller_update(pending, live, leads, masks, new, product_rule))
     return set(pending)
 
 
@@ -517,6 +559,7 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
     basis = []
     history = []  # (scale, source) per element; see _replay
     leads = []
+    masks = []    # divisibility mask of each lead
     pending = {}  # untreated pair (i, j) -> lcm
     heap = []     # (pair degree, i, j); entries the update dropped are stale
     live = []
@@ -532,12 +575,14 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
             elem = elem.scalar_mul(scale)
         basis.append(elem)
         history.append((scale, source))
-        leads.append(elem.lead_term())
+        lead = elem.lead_term()
+        leads.append(lead)
+        masks.append(ring.monomial_mask(lead.monomial))
         new = len(basis) - 1
         if not pair_up:
-            _join_live(live, leads, new)
+            _join_live(live, leads, masks, new)
             return
-        fresh = gebauer_moller_update(pending, live, leads, new, product_rule)
+        fresh = gebauer_moller_update(pending, live, leads, masks, new, product_rule)
         pending.update(fresh)
         for (i, j), lcm in fresh.items():
             heapq.heappush(heap, (pair_degree(i, lcm), i, j))
@@ -557,7 +602,7 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
             complete = False
             break  # every pair left on the heap is above the cap too
 
-        rem, coeffs = _lift_spair(basis, leads, i, j)
+        rem, coeffs = _lift_spair(basis, leads, i, j, opts)
         if not rem.is_zero:
             append_element(rem, [(k, c) for k, c in enumerate(coeffs) if not c.is_zero])
 
@@ -607,14 +652,19 @@ def _interreduce(module, basis, opts):
 
     idxs = sorted(range(len(basis)), key=lambda i: key(basis[i]))
     kept = []
+    kept_leads = []  # (lead, lead mask) per kept element
     for i in idxs:
         lt = basis[i].lead_term()
+        lead_mask = module.ring.monomial_mask(lt.monomial)
         if any(
-            kl.component == lt.component and mono_div(lt.monomial, kl.monomial) is not None
-            for kl in (basis[k].lead_term() for k in kept)
+            kl.component == lt.component
+            and not km & ~lead_mask
+            and mono_div(lt.monomial, kl.monomial) is not None
+            for kl, km in kept_leads
         ):
             continue
         kept.append(i)
+        kept_leads.append((lt, lead_mask))
 
     elements = [basis[i] for i in kept]
     reduced = []
@@ -624,7 +674,7 @@ def _interreduce(module, basis, opts):
         others = elements[:pos] + elements[pos + 1:]
         pairs = []
         if others:
-            div = module_divide(elem, others)
+            div = module_divide(elem, others, opts)
             elem = div.remainder
             pairs = [
                 (k if k < pos else k + 1, q)
@@ -644,9 +694,9 @@ def _neg_key(key):
     return -key
 
 
-def _lift_spair(elements, leads, i, j):
+def _lift_spair(elements, leads, i, j, opts=None):
     """Divide the S-element of elements i < j (same lead component) once
-    through the list.
+    through the list, under the deadline of opts.
 
     Returns (remainder, coeffs): coeffs[k] is the coefficient of element k
     in remainder = sum coeffs[k] * elements[k], that is the trivial-syzygy
@@ -665,7 +715,7 @@ def _lift_spair(elements, leads, i, j):
     if s.is_zero:
         rem, coeffs = s, [ring.zero()] * len(elements)
     else:
-        div = module_divide(s, elements)
+        div = module_divide(s, elements, opts)
         rem, coeffs = div.remainder, [-q for q in div.quotients]
     coeffs[i] = coeffs[i] + Polynomial(ring, (Term(ci, u),))
     coeffs[j] = coeffs[j] - Polynomial(ring, (Term(cj, v),))
@@ -708,9 +758,10 @@ def syzygy_module_for(elements, ambient_order: ModuleOrder | None = None) -> Fre
     return FreeModule(module.ring, shifts, order)
 
 
-def _syzygies_of_basis(basis_elements, pair_subset=None):
+def _syzygies_of_basis(basis_elements, pair_subset=None, opts=None):
     """Syzygies of a Groebner basis via the Schreyer construction, or None
     when the list is not a Groebner basis (some S-pair leaves a remainder).
+    The divisions run under the deadline of opts.
 
     Each pair is lifted once, and its coefficient vector is the syzygy.
     With all pairs (the default) the output is a Groebner basis of the
@@ -727,7 +778,7 @@ def _syzygies_of_basis(basis_elements, pair_subset=None):
                 continue
             if pair_subset is not None and (i, j) not in pair_subset:
                 continue
-            rem, coeffs = _lift_spair(elements, leads, i, j)
+            rem, coeffs = _lift_spair(elements, leads, i, j, opts)
             if not rem.is_zero:
                 return None
             syz = ModuleElement(m1, coeffs)
@@ -768,7 +819,7 @@ def syzygy_generators(elements, opts: BuchbergerOptions | None = None,
     ring = felems[0].module.ring
     target = syzygy_module_for(elements)
     pairs = surviving_pairs([e.lead_term() for e in felems], product_rule=False)
-    syz = _syzygies_of_basis(felems, pair_subset=pairs)
+    syz = _syzygies_of_basis(felems, pair_subset=pairs, opts=opts)
     if syz is None:
         raise AssertionError("a completed basis failed its own Groebner check")
     out = []
@@ -778,7 +829,7 @@ def syzygy_generators(elements, opts: BuchbergerOptions | None = None,
             out.append(pushed)
 
     for a, g in enumerate(elements):
-        div = module_divide(g, felems)
+        div = module_divide(g, felems, opts)
         if not div.remainder.is_zero:
             raise AssertionError("generator failed to divide through its own basis")
         comps = [-c for c in _combine(ring, div.quotients, rows, target.rank)]
@@ -804,7 +855,7 @@ def syzygies(F, opts: BuchbergerOptions | None = None):
         return []
     if isinstance(elements[0], Polynomial):
         _, elements = as_module_elements(elements)
-    syz = _syzygies_of_basis(elements)
+    syz = _syzygies_of_basis(elements, opts=opts)
     return syz if syz is not None else syzygy_generators(elements, opts)
 
 
@@ -849,7 +900,7 @@ def minimalize_generators(items, opts: BuchbergerOptions | None = None):
     working = []
     for i in order:
         cand = elements[i]
-        if working and module_divide(cand, working).remainder.is_zero:
+        if working and module_divide(cand, working, opts).remainder.is_zero:
             continue
         kept.append(cand)
         completed = module_buchberger(

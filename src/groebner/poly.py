@@ -3,10 +3,17 @@
 A polynomial is an immutable tuple of (coeff, monomial) terms kept strictly
 descending under the ring's monomial order.  Monomials are dense exponent
 tuples, one slot per ring variable.
+
+The ring caches, per monomial it has seen, its order key (``_key_cache``)
+and its divisibility mask (``_mask_cache``, see ``mono_mask``); both caches
+live and die with the ring.  ``Polynomial.submul`` is the reduction step
+that every division in the package runs through: one merge of self with
+the scaled product, driven by the product's terms.
 """
 
 from __future__ import annotations
 
+from operator import add, le, sub
 from typing import Iterable, NamedTuple
 
 from .fields import Field
@@ -14,7 +21,7 @@ from .orders import GREVLEX, OrderSpec
 
 __all__ = [
     "Term", "Monomial", "PolynomialRing", "Polynomial", "leading_term",
-    "mono_mul", "mono_div", "mono_lcm", "mono_divides", "mono_degree",
+    "mono_mul", "mono_div", "mono_lcm", "mono_divides", "mono_degree", "mono_mask",
 ]
 
 Monomial = tuple
@@ -26,35 +33,56 @@ class Term(NamedTuple):
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
     """a / b as a monomial, or None when b does not divide a."""
-    q = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        q.append(x - y)
-    return tuple(q)
+    if all(map(le, b, a)):
+        return tuple(map(sub, a, b))
+    return None
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_divides(b: Monomial, a: Monomial) -> bool:
-    return all(y <= x for x, y in zip(a, b))
+    return all(map(le, b, a))
 
 
 def mono_degree(a: Monomial) -> int:
     return sum(a)
 
 
+MASK_BITS = 64
+
+
+def mono_mask(a: Monomial) -> int:
+    """Divisibility mask of a monomial (a short exponent vector, Bachmann
+    and Schoenemann 1998).  Each of the n variables owns
+    w = max(1, MASK_BITS // n) bits, and the first min(e, w) of them are set
+    for exponent e.
+
+    If b divides a then mono_mask(b) & ~mono_mask(a) == 0, so a nonzero
+    value proves that b does not divide a; the converse needs mono_div.
+    The mask of lcm(a, b) is mono_mask(a) | mono_mask(b), and a and b are
+    coprime exactly when their masks share no bit.
+    """
+    width = max(1, MASK_BITS // len(a))
+    mask = 0
+    for shift, e in zip(range(0, width * len(a), width), a):
+        if e:
+            mask |= ((1 << min(e, width)) - 1) << shift
+    return mask
+
+
 class PolynomialRing:
     """k[x_0, ..., x_n] with a fixed multiplicative monomial order."""
 
-    __slots__ = ("field", "names", "order", "nvars", "_key", "_index", "_key_cache")
+    __slots__ = (
+        "field", "names", "order", "nvars", "_key", "_index", "_key_cache", "_mask_cache",
+    )
 
     def __init__(self, field: Field, names, order: OrderSpec = GREVLEX):
         names = tuple(names)
@@ -77,6 +105,7 @@ class PolynomialRing:
 
         self._key = cached_key
         self._key_cache = cache
+        self._mask_cache = {}
         self._index = {n: i for i, n in enumerate(names)}
 
     # -- identity ----------------------------------------------------------
@@ -97,6 +126,13 @@ class PolynomialRing:
     # -- construction ------------------------------------------------------
     def monomial_key(self, mono: Monomial):
         return self._key(mono)
+
+    def monomial_mask(self, mono: Monomial) -> int:
+        """mono_mask(mono), cached per ring."""
+        mask = self._mask_cache.get(mono)
+        if mask is None:
+            mask = self._mask_cache[mono] = mono_mask(mono)
+        return mask
 
     def polynomial(self, pairs: Iterable) -> "Polynomial":
         """Build a polynomial from (coeff, monomial) pairs, combining equal
@@ -235,6 +271,8 @@ class Polynomial:
         return Polynomial(self.ring, tuple(out))
 
     def __neg__(self):
+        if not self.terms:
+            return self
         neg = self.ring.field.neg
         return Polynomial(self.ring, tuple(Term(neg(t.coeff), t.monomial) for t in self.terms))
 
@@ -310,40 +348,56 @@ class Polynomial:
         )
 
     def submul(self, coeff, mono: Monomial, f: "Polynomial") -> "Polynomial":
-        """self - coeff * x^mono * f as a single merge; the reduction step."""
-        field = self.ring.field
-        key = self.ring._key
+        """self - coeff * x^mono * f as a single merge; the reduction step.
+
+        The loop is driven by f's terms: each product term's key is read
+        from the ring's cache, self's terms above it are copied through,
+        and -coeff is formed once, so a product term costs one field
+        multiplication (plus one addition where it meets a term of self).
+        """
+        ring = self.ring
+        field = ring.field
+        fadd, fmul = field.add, field.mul
+        minus = field.neg(coeff)
+        # keys are nonempty tuples, so a cache hit is truthy
+        cache = ring._key_cache
+        key = ring._key
+        new = tuple.__new__  # builds a Term without its constructor's Python frame
         a = self.terms
-        b = f.terms
+        na = len(a)
         out = []
-        i = j = 0
-        if j < len(b):
-            mb = mono_mul(b[j].monomial, mono)
-            kb = key(mb)
-        while i < len(a) and j < len(b):
-            ka = key(a[i].monomial)
-            if ka > kb:
-                out.append(a[i])
-                i += 1
-                continue
-            if ka == kb:
-                c = field.sub(a[i].coeff, field.mul(coeff, b[j].coeff))
-                if c != 0:
-                    out.append(Term(c, a[i].monomial))
-                i += 1
-            else:
-                out.append(Term(field.neg(field.mul(coeff, b[j].coeff)), mb))
-            j += 1
-            if j < len(b):
-                mb = mono_mul(b[j].monomial, mono)
-                kb = key(mb)
-        out.extend(a[i:])
-        neg = field.neg
-        mul = field.mul
-        while j < len(b):
-            out.append(Term(neg(mul(coeff, b[j].coeff)), mono_mul(b[j].monomial, mono)))
-            j += 1
-        return Polynomial(self.ring, tuple(out))
+        push = out.append
+        i = 0
+        rest = iter(f.terms)
+        if na:
+            ma = a[0].monomial
+            ka = cache.get(ma) or key(ma)
+            for c, m in rest:
+                mb = tuple(map(add, m, mono))
+                kb = cache.get(mb) or key(mb)
+                while ka > kb:
+                    push(a[i])
+                    i += 1
+                    if i == na:
+                        break
+                    ma = a[i].monomial
+                    ka = cache.get(ma) or key(ma)
+                if i < na and ka == kb:
+                    s = fadd(a[i].coeff, fmul(minus, c))
+                    if s:
+                        push(new(Term, (s, ma)))
+                    i += 1
+                    if i < na:
+                        ma = a[i].monomial
+                        ka = cache.get(ma) or key(ma)
+                else:
+                    push(new(Term, (fmul(minus, c), mb)))
+                if i == na:
+                    break
+            out.extend(a[i:])
+        for c, m in rest:
+            push(new(Term, (fmul(minus, c), tuple(map(add, m, mono)))))
+        return Polynomial(ring, tuple(out))
 
     def monic(self) -> "Polynomial":
         if not self.terms:

@@ -130,9 +130,9 @@ def test_schreyer_reduction_of_syzygy_module(cubic_grevlex):
 def test_syzygies_of_a_basis_divide_each_pair_once(monkeypatch):
     divided = []
 
-    def spy(g, divisors):
+    def spy(g, divisors, opts=None):
         divided.append(g)
-        return module_divide(g, divisors)
+        return module_divide(g, divisors, opts)
 
     for seed in (1001, 1002, 1004):
         _, gens = random_ideal(seed, 4, 3, 2, field=GF(32003))
