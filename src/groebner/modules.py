@@ -319,9 +319,6 @@ def module_divide(g: ModuleElement, divisors,
     for i, f in enumerate(divisors):
         lt = f.lead_term()
         candidates.setdefault(lt.component, []).append((i, lt, mask(lt.monomial)))
-    check = None
-    if opts is not None and opts.deadline is not None:
-        check = opts.check_deadline
 
     comps = list(g.comps)
     keys = [
@@ -371,8 +368,8 @@ def module_divide(g: ModuleElement, divisors,
                 None if shorter.is_zero else order.key(shorter.lead_monomial, best_ci)
             )
         steps += 1
-        if check is not None and not steps % DEADLINE_STRIDE:
-            check()
+        if opts is not None and not steps % DEADLINE_STRIDE:
+            opts.check_deadline()
 
     remainder = ModuleElement(
         module, tuple(Polynomial(ring, tuple(ts)) for ts in rem_terms)
