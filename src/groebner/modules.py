@@ -24,8 +24,10 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import NamedTuple
 
+from .oracle import Echelon
 from .poly import (
     Polynomial,
     PolynomialRing,
@@ -487,15 +489,8 @@ def gebauer_moller_update(pending, live, leads, masks, new, product_rule):
             continue
         fresh[(i, new)] = lcm
 
-    _join_live(live, leads, masks, new)
-    return fresh
-
-
-def _join_live(live, leads, masks, new):
-    """Add new to live, retiring the leads it divides: their later pairs
-    are covered through new."""
-    mono, comp = leads[new].monomial, leads[new].component
-    new_mask = masks[new]
+    # retire the live leads that new divides: their later pairs are
+    # covered through new
     live[:] = [
         i for i in live
         if leads[i].component != comp
@@ -503,6 +498,7 @@ def _join_live(live, leads, masks, new):
         or mono_div(leads[i].monomial, mono) is None
     ]
     live.append(new)
+    return fresh
 
 
 def surviving_pairs(leads, product_rule: bool = True):
@@ -514,22 +510,16 @@ def surviving_pairs(leads, product_rule: bool = True):
     return set(pending)
 
 
-def module_buchberger(gens, opts: BuchbergerOptions | None = None,
-                      groebner_prefix: int = 0) -> ModuleGroebnerBasis:
+def module_buchberger(gens, opts: BuchbergerOptions | None = None) -> ModuleGroebnerBasis:
     """Complete a generating list to a Groebner basis of the submodule.
 
     With opts.reduce the output is the unique reduced basis (monic, minimal
     leads, fully tail-reduced) sorted by (degree, descending lead).  Without
-    it the input generators survive, monic-scaled, as a prefix of the basis,
-    which the syzygy machinery relies on.
+    it the input generators survive, monic-scaled, as a prefix of the basis.
 
     Pairs are pruned by the Gebauer–Möller update (the coprime rule for
     ideals only) and treated by ascending (degree, i, j) from a heap.
     Under opts.degree_cap the loop stops at the first pair above the cap.
-
-    groebner_prefix asserts that the first so-many generators are already a
-    basis of what they generate, so their mutual pairs can be skipped; pass
-    it only when that is actually known.
     """
     gens = list(gens)
     if not gens:
@@ -564,7 +554,7 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
     def pair_degree(i, lcm):
         return mono_degree(lcm) + module.shifts[leads[i].component]
 
-    def append_element(elem, source, pair_up=True):
+    def append_element(elem, source):
         lc = elem.lead_term().coeff
         scale = None
         if lc != field.one:
@@ -575,17 +565,13 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None,
         lead = elem.lead_term()
         leads.append(lead)
         masks.append(ring.monomial_mask(lead.monomial))
-        new = len(basis) - 1
-        if not pair_up:
-            _join_live(live, leads, masks, new)
-            return
-        fresh = gebauer_moller_update(pending, live, leads, masks, new, product_rule)
+        fresh = gebauer_moller_update(pending, live, leads, masks, len(basis) - 1, product_rule)
         pending.update(fresh)
         for (i, j), lcm in fresh.items():
             heapq.heappush(heap, (pair_degree(i, lcm), i, j))
 
     for idx, g in enumerate(gens):
-        append_element(g, idx, pair_up=idx >= groebner_prefix)
+        append_element(g, idx)
 
     complete = True
     cap = opts.degree_cap
@@ -864,46 +850,58 @@ def minimalize_generators(items, opts: BuchbergerOptions | None = None):
     """Trim a homogeneous generating list to a minimal one.
 
     Candidates are scanned by ascending degree (ties by input position) and
-    kept only when they fail to reduce to zero against a basis of what was
-    already kept; graded Nakayama makes the survivor count intrinsic.  The
-    working basis grows incrementally, pairing each kept candidate against
-    the prior completed prefix only.  Every completion stops at the largest
-    candidate degree D (or the caller's smaller cap): for homogeneous input
-    a basis truncated at D decides membership in every degree up to D, and
-    each truncated basis has all its pairs up to D treated, which is all
-    that the prefix argument needs there.
+    kept when they lie outside the span of the degree-d multiples of those
+    kept before; graded Nakayama makes the survivor count intrinsic.  That
+    is a rank question (Lazard, 1983): per degree, one oracle.Echelon takes
+    the multiples m*k of the kept k of lower degree, then the candidates,
+    each kept when it raises the rank.  Columns are (component, monomial)
+    pairs in descending module order, so rows are reduced at their leads.
+    Only multiples linked to a candidate's columns through shared columns
+    join: a row space is the direct sum of those of its connected components.
+    No completion runs, so a degree cap has nothing to truncate; the
+    deadline of opts is checked as each row is built and as it is reduced.
     """
     items = list(items)
-    if not items:
-        return []
-    wrap = isinstance(items[0], Polynomial)
-    if wrap:
-        _, elements = as_module_elements(items)
-    else:
-        elements = items
-    elements = [e for e in elements if not e.is_zero]
-    if not elements:
-        return []
-    for e in elements:
-        if not e.is_homogeneous():
-            raise ValueError("minimal generators need homogeneous input")
-
+    wrap = bool(items) and isinstance(items[0], Polynomial)
+    elements = [e for e in (as_module_elements(items)[1] if wrap else items) if not e.is_zero]
+    if not all(e.is_homogeneous() for e in elements):
+        raise ValueError("minimal generators need homogeneous input")
     opts = opts or BuchbergerOptions()
-    top = max(e.degree() for e in elements)
-    cap = top if opts.degree_cap is None else min(opts.degree_cap, top)
-    run = replace(opts, reduce=False, degree_cap=cap)
-    order = sorted(range(len(elements)), key=lambda i: (elements[i].degree(), i))
     kept = []
-    working = []
-    for i in order:
-        cand = elements[i]
-        if working and module_divide(cand, working, opts).remainder.is_zero:
-            continue
-        kept.append(cand)
-        completed = module_buchberger(
-            working + [cand], run, groebner_prefix=len(working)
-        )
-        working = completed.elements
-    if wrap:
-        return [e.comps[0] for e in kept]
-    return kept
+    by_degree = sorted(range(len(elements)), key=lambda i: (elements[i].degree(), i))
+    for _, group in groupby(by_degree, key=lambda i: elements[i].degree()):
+        group = [elements[i] for i in group]
+        rows = [_row(cand) for cand in group]
+        columns = list({c: None for row in rows for c in row})
+        seen = set(columns)
+        multiples = {}  # (kept position, monomial m) -> row of m * kept[position]
+        for comp, mono in columns:  # grows as the multiples bring new columns
+            for pos, k in enumerate(kept):
+                for t in k.comps[comp].terms:
+                    m = mono_div(mono, t.monomial)
+                    if m is not None and (pos, m) not in multiples:
+                        opts.check_deadline()
+                        multiples[pos, m] = row = _row(k, m)
+                        columns.extend(c for c in row if c not in seen)
+                        seen.update(row)
+        module = group[0].module
+        columns.sort(key=lambda c: module.order.key(c[1], c[0]), reverse=True)
+        index = {c: n for n, c in enumerate(columns)}
+        echelon = Echelon(module.ring.field)
+        for row in multiples.values():
+            opts.check_deadline()
+            echelon.add({index[c]: x for c, x in row.items()})
+        for cand, row in zip(group, rows):
+            opts.check_deadline()
+            if echelon.add({index[c]: x for c, x in row.items()}):
+                kept.append(cand)
+    return [e.comps[0] for e in kept] if wrap else kept
+
+
+def _row(elem, mono=None):
+    """Sparse row {(component, monomial): coeff} of mono * elem."""
+    return {
+        (ci, t.monomial if mono is None else mono_mul(t.monomial, mono)): t.coeff
+        for ci, p in enumerate(elem.comps)
+        for t in p.terms
+    }

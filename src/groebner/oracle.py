@@ -5,8 +5,10 @@ generator landing in degree d and one column per degree-d monomial.  Its
 row space is the degree-d slice of the ideal, so ranks answer dimension and
 membership questions without any Groebner machinery.  Everything here is
 exact Gaussian elimination with first-nonzero pivoting.  The tests use it
-as ground truth; the generic-forms regularity test grows an ``Echelon``
-row by row, since it needs nothing but ranks.
+as ground truth.  The generic-forms regularity test and
+``modules.minimalize_generators`` grow an ``Echelon`` row by row, since
+they need nothing but ranks.  Stable monomial ideals need not even that:
+``eliahou_kervaire_betti`` reads their Betti tables off the generators.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "MacaulayMatrix", "macaulay_matrix", "monomials_of_degree",
     "ideal_dim_in_degree", "membership_in_degree", "initial_ideal_in_degree",
     "row_reduce", "Echelon", "rank_of_rows", "invert_matrix",
+    "eliahou_kervaire_betti",
 ]
 
 DEFAULT_CELL_BUDGET = 4_000_000
@@ -236,3 +239,16 @@ def invert_matrix(matrix, field):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in work]
+
+
+def eliahou_kervaire_betti(monomials) -> dict:
+    """Betti numbers {(step i, degree): beta} of the stable monomial ideal
+    minimally generated by the monomials (Eliahou & Kervaire, 1990): u of
+    degree j adds C(m - 1, i) at (i, i + j), m the largest index of a
+    variable dividing u, counting from 1.  Stability is the caller's to check."""
+    out = {}
+    for u in monomials:
+        m = max((k + 1 for k, e in enumerate(u) if e), default=1)
+        for i in range(m):
+            out[(i, i + sum(u))] = out.get((i, i + sum(u)), 0) + comb(m - 1, i)
+    return out

@@ -280,8 +280,15 @@ def test_callers_pass_their_options_to_the_division(monkeypatch):
     for run in (
         lambda: module_buchberger(elems, opts),
         lambda: syzygy_generators(elems, opts),
-        lambda: minimalize_generators(elems + [elems[0].monomial_mul(1, (1, 0, 0))], opts),
     ):
         seen.clear()
         run()
         assert seen and all(o is not None and o.deadline == opts.deadline for o in seen)
+
+
+def test_minimalization_stops_at_a_past_deadline():
+    _, gens = random_ideal(1004, 3, 3, 2, field=GF(32003))
+    _, elems = as_module_elements(gens)
+    past = BuchbergerOptions(deadline=time.monotonic() - 1.0)
+    with pytest.raises(DeadlineExceeded):
+        minimalize_generators(elems + [elems[0].monomial_mul(1, (1, 0, 0))], past)

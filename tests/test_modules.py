@@ -14,7 +14,7 @@ from groebner import (
     random_ideal,
     syzygies,
 )
-from groebner import modules
+from groebner import modules, oracle
 from groebner.modules import (
     BuchbergerOptions,
     PositionOverTerm,
@@ -24,6 +24,7 @@ from groebner.modules import (
     as_module_elements,
     is_module_groebner,
     module_divide,
+    syzygy_generators,
     syzygy_module_for,
 )
 from groebner.poly import mono_div, mono_lcm
@@ -185,6 +186,12 @@ def test_minimalize_generators_examples(ring_qq_xy):
     ring, gens = __import__("groebner").twisted_cubic()
     assert minimalize_generators(gens) == gens
 
+    # x^2 - x*w = x*(x - y) + x*(y - z) + x*(z - w), and the middle multiple
+    # shares no column with the candidate, only with the other two
+    x, y, z, w = PolynomialRing(QQ, ["x", "y", "z", "w"], GREVLEX).variables()
+    gens = [x - y, y - z, z - w]
+    assert minimalize_generators(gens + [x * x - x * w]) == gens
+
 
 def test_minimalize_rejects_inhomogeneous(ring_qq_xy):
     x, y = ring_qq_xy.variables()
@@ -202,44 +209,75 @@ def test_schreyer_order_prefers_smaller_index_on_ties():
     assert m1.order.key((0, 0), 0) > m1.order.key((0, 0), 1)
 
 
-def _spy_completions(monkeypatch):
-    seen = []  # (degree cap, largest degree of an element the completion added)
-    inner = modules.module_buchberger
-
-    def spy(gens, opts=None, *args, **kwargs):
-        out = inner(gens, opts, *args, **kwargs)
-        # without reduction the generators stay a prefix of the output
-        added = out.elements[len(gens):]
-        seen.append((opts.degree_cap, max((e.degree() for e in added), default=0)))
-        return out
-
-    monkeypatch.setattr(modules, "module_buchberger", spy)
-    return seen
-
-
-def _minimal_by_full_bases(gens):
+def _minimal_by_full_bases(elements):
     # the uncapped reference: keep a candidate unless a complete basis of
-    # the kept ones contains it
-    kept = []
-    for i in sorted(range(len(gens)), key=lambda i: (gens[i].total_degree(), i)):
-        if not (kept and buchberger(kept).contains(gens[i])):
-            kept.append(gens[i])
+    # the kept ones contains it (completed again after each keep)
+    kept, basis = [], None
+    for i in sorted(range(len(elements)), key=lambda i: (elements[i].degree(), i)):
+        if kept and basis is None:
+            basis = module_buchberger(kept)
+        if basis is None or not basis.contains(elements[i]):
+            kept.append(elements[i])
+            basis = None
     return kept
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_minimalize_generators_stops_at_the_top_candidate_degree(seed, monkeypatch):
+    # nothing above a candidate's degree is computed: no completion runs,
+    # so a caller's degree cap has nothing to truncate
     ring, gens = random_ideal(400 + seed, 3 + seed % 2, 3, 2)
     x = ring.variables()
     items = [gens[0] * x[1]] + gens + [g * v for g in gens for v in x[:2]]
     items.append(gens[1] * x[0] + gens[2] * x[-1])
-    top = max(f.total_degree() for f in items)
-    seen = _spy_completions(monkeypatch)
-    kept = minimalize_generators(items)
-    assert seen and all(cap == top and deg <= top for cap, deg in seen)
-    assert kept == _minimal_by_full_bases(items)
+    _, elements = as_module_elements(items)
+    reference = [e.comps[0] for e in _minimal_by_full_bases(elements)]
 
-    # a smaller cap of the caller wins
-    seen.clear()
-    minimalize_generators(items, BuchbergerOptions(degree_cap=2))
-    assert seen and all(cap == 2 and deg <= 2 for cap, deg in seen)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("minimalize_generators ran a completion or a division")
+
+    monkeypatch.setattr(modules, "module_buchberger", forbidden)
+    monkeypatch.setattr(modules, "module_divide", forbidden)
+    assert minimalize_generators(items) == reference
+    assert minimalize_generators(items, BuchbergerOptions(degree_cap=2)) == reference
+
+
+# test_golden.py's SUITE: (seed, variables, forms, degree)
+GOLDEN_SUITE = [(1000 + k, 3 + k % 2, 2 + k % 3, 1 + k % 3) for k in range(6)]
+
+
+@pytest.mark.parametrize("seed,n,m,d", GOLDEN_SUITE)
+def test_minimalize_syzygies_like_full_module_bases(seed, n, m, d):
+    # resolutions minimalize syzygies, so check at module rank > 1: the
+    # first step's candidates, led by a scalar duplicate and followed by
+    # monomial multiples and another duplicate
+    ring, gens = random_ideal(seed, n, m, d, field=GF(32003))
+    _, elems = as_module_elements(minimalize_generators(gens))
+    syz = syzygy_generators(elems, lex_sort=True)
+    x = [v.lead_monomial for v in ring.variables()[:2]]
+    items = (
+        [syz[-1].scalar_mul(7)] + syz
+        + [s.monomial_mul(1, v) for s in syz[:2] for v in x]
+        + [syz[0].scalar_mul(3)]
+    )
+    kept = minimalize_generators(items)
+    assert kept == _minimal_by_full_bases(items)
+    assert len(kept) < len(items)
+
+
+def test_minimalize_generators_reaches_only_the_shared_columns(monkeypatch):
+    # the degree-13 slice of (x0) in 10 variables has C(21, 9) = 293,930
+    # rows; only the multiples sharing a column with a candidate are built
+    ring = PolynomialRing(GF(32003), [f"x{i}" for i in range(10)], GREVLEX)
+    x = ring.variables()
+    items = [x[0], x[1] ** 12 * x[2] + x[0] * x[3] ** 12, x[0] ** 13]
+    adds = []
+    inner = oracle.Echelon.add
+
+    def counting(self, row):
+        adds.append(None)
+        return inner(self, row)
+
+    monkeypatch.setattr(oracle.Echelon, "add", counting)
+    assert minimalize_generators(items) == items[:2]
+    assert len(adds) <= 10

@@ -10,7 +10,10 @@ from groebner import (
     GREVLEX,
     LEX,
     QQ,
+    BettiTable,
     PolynomialRing,
+    free_resolution,
+    generic_change,
     hilbert_function,
     ideal_dim_in_degree,
     initial_ideal,
@@ -19,13 +22,16 @@ from groebner import (
     monomials_of_degree,
     random_ideal,
 )
+from groebner.ideals import MonomialIdeal, is_borel_fixed
 from groebner.oracle import (
     Echelon,
+    eliahou_kervaire_betti,
     invert_matrix,
     macaulay_matrix,
     rank_of_rows,
     row_reduce,
 )
+from groebner.parser import parse_polynomial
 
 
 def test_monomial_enumeration_counts():
@@ -125,3 +131,32 @@ def test_oracle_agrees_with_hilbert_route_on_random_suite():
         hf = hilbert_function(gens, 5)
         for d in range(6):
             assert comb(d + 2, 2) - hf[d] == ideal_dim_in_degree(gens, d)
+
+
+@pytest.mark.parametrize("names,gens", [
+    ("x y", ["x^2", "x*y", "y^2"]),                  # (x, y)^2
+    ("x y z", ["x^2", "x*y", "x*z", "y^2"]),         # a lex segment in degree 2
+    ("x y z", ["x^2", "x*y", "y^3"]),
+    ("x y z", ["x", "y^2", "y*z", "z^3"]),
+    ("w x y z", ["w^2", "w*x", "w*y", "x^3", "x^2*y", "w*z^2"]),
+])
+def test_eliahou_kervaire_table_of_hand_made_stable_ideals(names, gens):
+    ring = PolynomialRing(GF(32003), names.split(), GREVLEX)
+    polys = [parse_polynomial(g, ring) for g in gens]
+    ideal = MonomialIdeal.from_monomials(ring, [f.lead_monomial for f in polys])
+    assert is_borel_fixed(ideal) and len(ideal.gens) == len(gens)
+    ek = BettiTable(eliahou_kervaire_betti(ideal.gens))
+    assert ek == free_resolution(polys).betti()
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_eliahou_kervaire_table_of_generic_initial_ideals(k):
+    # the suite shape cycle; in generic coordinates the grevlex initial
+    # ideal is Borel-fixed (Galligo 1974; Bayer-Stillman 1987)
+    seed = 1000 + k
+    _, gens = random_ideal(seed, 3 + k % 2, 2 + k % 3, 1 + k % 3, field=GF(32003))
+    changed, _ = generic_change(gens, seed=seed)
+    gin = initial_ideal(changed)
+    assert is_borel_fixed(gin)
+    ek = BettiTable(eliahou_kervaire_betti(gin.gens))
+    assert ek == free_resolution(gin.polynomials()).betti()
