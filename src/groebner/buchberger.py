@@ -28,9 +28,9 @@ __all__ = [
 
 
 class GroebnerBasis:
-    """Reduced (or raw) basis with provenance.
+    """Reduced basis with provenance.
 
-    elements   monic polynomials, canonically sorted when reduced
+    elements   monic polynomials, canonically sorted
     transform  row i writes elements[i] as sum(transform[i][j] * generators[j]);
                the module basis builds the rows on first read
     """
@@ -40,7 +40,6 @@ class GroebnerBasis:
         self.order = ring.order
         self.elements = [e.comps[0] for e in basis.elements]
         self.generators = list(generators)
-        self.reduced = basis.reduced
         self.complete = basis.complete
         self._basis = basis
 

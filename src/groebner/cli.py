@@ -45,7 +45,7 @@ from .parser import (
     parse_polynomial,
     print_ideal_file,
 )
-from .resolutions import _complete_resolution, bayer_stillman_test, regularity
+from .resolutions import bayer_stillman_test, free_resolution, regularity
 
 __all__ = ["main"]
 
@@ -78,13 +78,14 @@ class Output(NamedTuple):
 # -- commands: (ideal, args, opts) -> Output ----------------------------------
 
 def _gb(ideal, args, opts):
-    gb = buchberger(ideal.generators, opts=opts)
+    gb = buchberger([g for g in ideal.generators if not g.is_zero], opts=opts)
     return Output(gb.elements, complete=gb.complete)
 
 
 def _reduce(ideal, args, opts):
     g = parse_polynomial(args.poly, ideal.ring)
-    nf = normal_form(g, _complete_basis(ideal.generators, opts=opts))
+    gens = [f for f in ideal.generators if not f.is_zero]
+    nf = normal_form(g, _complete_basis(gens, opts=opts))
     return Output(nf, [nf])
 
 
@@ -126,7 +127,7 @@ def _hilbert(ideal, args, opts):
 
 
 def _resolve(ideal, args, opts):
-    res = _complete_resolution(ideal.generators, opts)
+    res = free_resolution(ideal.generators, opts)
     shifts = res.shifts()
     lines = [f"length: {res.length}"]
     lines += [f"step {i}: rank {len(s)}, shifts {sorted(s)}" for i, s in enumerate(shifts)]
@@ -139,12 +140,12 @@ def _resolve(ideal, args, opts):
 
 
 def _betti(ideal, args, opts):
-    bt = _complete_resolution(ideal.generators, opts).betti()
+    bt = free_resolution(ideal.generators, opts).betti()
     return Output(bt.json_rows(), [bt.ascii()])
 
 
 def _regularity(ideal, args, opts):
-    reg = regularity(_complete_resolution(ideal.generators, opts))
+    reg = regularity(free_resolution(ideal.generators, opts))
     return Output(reg, [f"regularity: {reg}"])
 
 

@@ -15,8 +15,8 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .buchberger import BuchbergerOptions, buchberger
-from .ideals import hilbert_function
+from .buchberger import BuchbergerOptions
+from .ideals import _complete_basis, hilbert_function
 from .orders import GREVLEX, OrderSpec, weight_order
 from .poly import Polynomial, PolynomialRing
 
@@ -134,11 +134,7 @@ def flat_family(gens, W, tiebreak: OrderSpec = GREVLEX,
     for g in gens:
         if not g.is_homogeneous():
             raise ValueError("flat families need homogeneous input")
-    gb = buchberger(gens, order=weight_order(W, tiebreak), opts=opts)
-    if not gb.complete:
-        from .modules import CapInterrupted
-
-        raise CapInterrupted("degree cap interrupted the family completion")
+    gb = _complete_basis(gens, order=weight_order(W, tiebreak), opts=opts)
     return FlatFamily(gb.ring, W, tuple(_member_for(f, W) for f in gb.elements), True)
 
 

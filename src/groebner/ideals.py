@@ -23,7 +23,7 @@ from .poly import (
     mono_degree,
     mono_divides,
 )
-from .resolutions import _complete_resolution, regularity
+from .resolutions import free_resolution, regularity
 
 __all__ = [
     "MonomialIdeal", "initial_ideal", "eliminate", "saturate_variable",
@@ -581,7 +581,7 @@ def sat_defect(gens, seed: int = 0, opts: BuchbergerOptions | None = None) -> Sa
     if any(g.total_degree() == 0 for g in gens):
         return SatDefect(0, {}, 0, 0)
 
-    res = _complete_resolution(gens, opts=opts)
+    res = free_resolution(gens, opts)
     reg = regularity(res)
     sat, _ = _generic_saturation(gens, seed, opts)
     cap = max(reg, 0)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from typing import NamedTuple
 
@@ -389,10 +389,9 @@ def module_divide(g: ModuleElement, divisors,
 
 @dataclass
 class BuchbergerOptions:
-    """Knobs for the completion loop: interreduce the output, stop above a
-    pair degree, give up past a deadline."""
+    """Knobs for the completion loop: stop above a pair degree, give up
+    past a deadline."""
 
-    reduce: bool = True
     degree_cap: int | None = None
     deadline: float | None = None  # absolute time.monotonic() stamp
 
@@ -407,12 +406,10 @@ class ModuleGroebnerBasis:
     are replayed from the completion's records on first read and kept; the
     records are then dropped."""
 
-    def __init__(self, module, elements, generators, reduced, complete,
-                 history, reduction):
+    def __init__(self, module, elements, generators, complete, history, reduction):
         self.module = module
         self.elements = list(elements)
         self.generators = list(generators)
-        self.reduced = reduced
         self.complete = complete
         self._records = (history, reduction)
         self._transform = None
@@ -513,9 +510,9 @@ def surviving_pairs(leads, product_rule: bool = True):
 def module_buchberger(gens, opts: BuchbergerOptions | None = None) -> ModuleGroebnerBasis:
     """Complete a generating list to a Groebner basis of the submodule.
 
-    With opts.reduce the output is the unique reduced basis (monic, minimal
-    leads, fully tail-reduced) sorted by (degree, descending lead).  Without
-    it the input generators survive, monic-scaled, as a prefix of the basis.
+    The output is the reduced basis (monic, minimal leads, fully
+    tail-reduced) sorted by (degree, descending lead); it is the unique
+    reduced basis of the submodule unless a cap stopped the loop.
 
     Pairs are pruned by the Gebauer–Möller update (the coprime rule for
     ideals only) and treated by ascending (degree, i, j) from a heap.
@@ -589,10 +586,8 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None) -> ModuleGroe
         if not rem.is_zero:
             append_element(rem, [(k, c) for k, c in enumerate(coeffs) if not c.is_zero])
 
-    reduction = None
-    if opts.reduce:
-        basis, reduction = _interreduce(module, basis, opts)
-    return ModuleGroebnerBasis(module, basis, gens, opts.reduce, complete, history, reduction)
+    basis, reduction = _interreduce(module, basis, opts)
+    return ModuleGroebnerBasis(module, basis, gens, complete, history, reduction)
 
 
 def _replay(ring, width, history, reduction):
@@ -611,8 +606,6 @@ def _replay(ring, width, history, reduction):
         if scale is not None:
             row = tuple(p.scalar_mul(scale) for p in row)
         rows.append(row)
-    if reduction is None:
-        return rows
     kept, quotients, order = reduction
     rows = [rows[i] for i in kept]
     reduced = []
@@ -783,8 +776,7 @@ def syzygy_generators(elements, opts: BuchbergerOptions | None = None,
     nonzero rows of (Id - Q T).  Any relation h among the inputs splits as
     h = h (Id - Q T) + (h Q) T with h Q a syzygy of F, so these generate.
     """
-    run = replace(opts or BuchbergerOptions(), reduce=True)
-    basis = module_buchberger(elements, run)
+    basis = module_buchberger(elements, opts)
     if not basis.complete:
         raise CapInterrupted("degree cap interrupted the completion")
     if lex_sort:
@@ -838,6 +830,9 @@ def syzygies(F, opts: BuchbergerOptions | None = None):
         return []
     if isinstance(elements[0], Polynomial):
         _, elements = as_module_elements(elements)
+    for k, e in enumerate(elements):
+        if e.is_zero:
+            raise ValueError(f"zero element at position {k}")
     syz = _syzygies_of_basis(elements, opts=opts)
     return syz if syz is not None else syzygy_generators(elements, opts)
 

@@ -4,7 +4,8 @@ A resolution is built by iterating syzygies: take minimal generators, write
 down the syzygies of their completed basis, push them back onto the
 generators, minimalize, repeat until nothing is left.  Minimal generating
 sets at every level force the maps into the maximal ideal, which is what
-makes the resulting Betti numbers intrinsic.
+makes the resulting Betti numbers intrinsic.  Every resolution is minimal
+and finished: a degree cap that stops a completion raises CapInterrupted.
 
 Regularity is read off the minimal resolution as the largest shift minus
 homological step, with the resolved object sitting at step 0.  The
@@ -19,7 +20,6 @@ import random
 
 from .modules import (
     BuchbergerOptions,
-    CapInterrupted,
     as_module_elements,
     minimalize_generators,
     syzygy_generators,
@@ -98,14 +98,12 @@ class BettiTable:
 
 
 class FreeResolution:
-    """Chain of generator lists; steps[k] lives in the free module over the
-    basis chosen at step k-1."""
+    """Minimal resolution as a chain of generator lists; steps[k] lives in
+    the free module over the basis chosen at step k-1."""
 
-    def __init__(self, ring, steps, minimal: bool, complete: bool = True):
+    def __init__(self, ring, steps):
         self.ring = ring
         self.steps = steps
-        self.minimal = minimal
-        self.complete = complete
 
     @property
     def length(self) -> int:
@@ -143,63 +141,40 @@ class FreeResolution:
         return False
 
 
-def free_resolution(gens, minimal: bool = True, opts: BuchbergerOptions | None = None) -> FreeResolution:
-    """Resolve the ideal or submodule generated by homogeneous gens.
-
-    The resolved object sits at homological step 0.  With minimal=True the
-    output is the minimal free resolution; otherwise it is the iterated
-    Schreyer resolution of the completed bases.
+def free_resolution(gens, opts: BuchbergerOptions | None = None) -> FreeResolution:
+    """Minimal free resolution of the ideal or submodule generated by
+    homogeneous gens, polynomials or module elements, with the resolved
+    object at homological step 0.  Zero generators are dropped.  Under
+    opts.degree_cap a completion the cap stops raises CapInterrupted: a
+    truncated resolution has no Betti table or regularity to read.
     """
-    gens = list(gens)
+    gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise ValueError("nothing to resolve")
     if isinstance(gens[0], Polynomial):
-        ring = gens[0].ring
-        _, gens = as_module_elements([g for g in gens if not g.is_zero])
-    else:
-        ring = gens[0].module.ring
-        gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        raise ValueError("nothing to resolve")
+        _, gens = as_module_elements(gens)
+    ring = gens[0].module.ring
     for g in gens:
         if not g.is_homogeneous():
             raise ValueError("resolutions need homogeneous input")
-    current = minimalize_generators(gens, opts) if minimal else list(gens)
+    current = minimalize_generators(gens, opts)
     steps = [current]
     max_steps = ring.nvars + 1
     for _ in range(max_steps + 1):
-        try:
-            pushed = syzygy_generators(current, opts, lex_sort=True)
-        except CapInterrupted:
-            return FreeResolution(ring, steps, minimal, complete=False)
+        pushed = syzygy_generators(current, opts, lex_sort=True)
         if not pushed:
             break
-        nxt = minimalize_generators(pushed, opts) if minimal else pushed
-        if not nxt:
-            break
-        steps.append(nxt)
-        current = nxt
+        current = minimalize_generators(pushed, opts)
+        steps.append(current)
     else:
         raise AssertionError("resolution exceeded the variable-count bound")
 
-    return FreeResolution(ring, steps, minimal)
-
-
-def _complete_resolution(gens, opts: BuchbergerOptions | None = None) -> FreeResolution:
-    """Minimal resolution, or CapInterrupted: a truncated one has no Betti
-    table or regularity to read."""
-    res = free_resolution(gens, opts=opts)
-    if not res.complete:
-        raise CapInterrupted("degree cap interrupted the resolution")
-    return res
+    return FreeResolution(ring, steps)
 
 
 def regularity(res: FreeResolution) -> int:
-    """Largest shift minus homological step across a minimal resolution."""
-    if not res.minimal:
-        raise ValueError("regularity needs a minimal resolution")
-    if not res.complete:
-        raise ValueError("regularity of a cap-truncated resolution is undefined")
+    """Largest shift minus homological step across the resolution's Betti
+    table; the resolution is minimal, so the number is intrinsic."""
     return res.betti().regularity()
 
 
@@ -246,6 +221,8 @@ def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0) -> str:
     if m < 1:
         return NOT_REGULAR
 
+    if trials < 1:
+        raise ValueError("the test needs at least one trial")
     small_field = field.kind == "prime-field" and field.modulus < 100
     if small_field and trials > field.modulus:
         raise ValueError("field too small for the requested number of trials")

@@ -115,6 +115,33 @@ def test_hilbert_command_zero_ideal(tmp_path, capsys):
     assert out == "1,3,6,10,15"
 
 
+def test_zero_ideal_has_nothing_to_resolve(tmp_path, capsys):
+    f = tmp_path / "zero.id"
+    f.write_text("field QQ\nring x y\nf1 = 0\n")
+    for command in ("resolve", "betti", "regularity"):
+        rc = main([command, str(f)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: nothing to resolve\n"
+
+
+def test_gb_and_reduce_drop_zero_generators(tmp_path, capsys):
+    f = tmp_path / "zero.id"
+    f.write_text("field QQ\nring x y\nf1 = x*y\nf2 = 0\n")
+    rc = main(["gb", str(f)])
+    assert rc == 0
+    assert capsys.readouterr().out == "x*y\n"
+    rc = main(["reduce", "--poly", "x^2*y + y", str(f)])
+    assert rc == 0
+    assert capsys.readouterr().out == "y\n"
+    rc = main(["gb", "--json", str(f)])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["generators"] == ["x*y", "0"]
+    assert payload["result"] == ["x*y"]
+
+
 def test_member_json_schema(capsys):
     rc = main(["member", "--poly", "w^2 - x*y", "--json", CUBIC])
     assert rc == 0
@@ -267,3 +294,11 @@ def test_bs_regular_command(capsys):
     rc = main(["bs-regular", "--m", "2", "--field", "Fp:32003", CUBIC])
     out = capsys.readouterr().out.strip()
     assert rc == 0 and out == "regular"
+
+
+def test_bs_regular_rejects_zero_trials(capsys):
+    rc = main(["bs-regular", "--m", "2", "--trials", "0", "--field", "Fp:32003", CUBIC])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "at least one trial" in captured.err

@@ -19,6 +19,7 @@ from groebner import (
     staged_flat_family,
     weight_order,
 )
+from groebner.modules import BuchbergerOptions, CapInterrupted
 
 W_CUBIC = (-16, -4, -1, 0)
 
@@ -125,6 +126,12 @@ def test_staged_degeneration_runs(cubic_lex):
     assert len(stages) == 2
     for fam in stages:
         assert flatness_check(fam).passed
+
+
+def test_flat_family_under_a_degree_cap_raises(cubic_lex):
+    ring, gens = cubic_lex
+    with pytest.raises(CapInterrupted):
+        flat_family(gens, W_CUBIC, opts=BuchbergerOptions(degree_cap=1))
 
 
 def test_rejects_inhomogeneous_weights_input():

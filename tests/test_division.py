@@ -100,6 +100,14 @@ def test_normal_form_of_standard_monomial(ring_qq_xy):
     assert normal_form(x * x * y, gb).is_zero
 
 
+def test_normal_form_of_a_plain_list(ring_qq_xy):
+    # a list is divided through as it stands, in its order
+    x, y = ring_qq_xy.variables()
+    assert normal_form(x * x * y, [x * y, x * x + y * y]).is_zero
+    assert normal_form(x * x * y, [x * x + y * y, x * y]) == -(y ** 3)
+    assert normal_form(x * y, []) == x * y
+
+
 def test_normal_form_takes_the_basis_order():
     # a grevlex polynomial against a lex basis: the basis reorders it
     from groebner import buchberger

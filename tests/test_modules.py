@@ -110,6 +110,12 @@ def test_single_generator_has_no_syzygies(ring_qq_xy):
     assert syzygies([x * x + y * y]) == []
 
 
+def test_syzygies_name_a_zero_element(ring_qq_xy):
+    x, y = ring_qq_xy.variables()
+    with pytest.raises(ValueError, match="zero element at position 1"):
+        syzygies([x, ring_qq_xy.zero(), y])
+
+
 def test_syzygies_of_non_basis_push_through_transform(cubic_lex):
     ring, gens = cubic_lex
     syz = syzygies(gens)  # the three quadrics are not a lex basis
@@ -123,7 +129,7 @@ def test_schreyer_reduction_of_syzygy_module(cubic_grevlex):
     ring, gens = cubic_grevlex
     syz = syzygies(gens)  # grevlex: the generators are already a basis
     assert len(syz) == 3
-    red = module_buchberger(syz, BuchbergerOptions(reduce=True))
+    red = module_buchberger(syz)
     assert len(red.elements) == 2
     assert is_module_groebner(red.elements)
 

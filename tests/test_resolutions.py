@@ -20,10 +20,11 @@ from groebner import (
     hilbert_function,
     random_ideal,
     regularity,
+    syzygies,
     twisted_cubic,
 )
 from groebner.ideals import generic_change
-from groebner.modules import BuchbergerOptions
+from groebner.modules import BuchbergerOptions, CapInterrupted
 
 
 def test_twisted_cubic_resolution(cubic_grevlex):
@@ -56,20 +57,25 @@ def test_linear_form_regularity(ring_qq_xy):
     assert regularity(free_resolution([x])) == 1
 
 
-def test_regularity_requires_minimal():
+def test_degree_cap_interrupts_resolution():
     ring, gens = twisted_cubic(QQ, GREVLEX)
-    res = free_resolution(gens, minimal=False)
-    with pytest.raises(ValueError):
-        regularity(res)
-    assert res.composition_is_zero()
+    with pytest.raises(CapInterrupted):
+        free_resolution(gens, opts=BuchbergerOptions(degree_cap=1))
 
 
-def test_degree_cap_flags_partial_resolution():
-    ring, gens = twisted_cubic(QQ, GREVLEX)
-    res = free_resolution(gens, opts=BuchbergerOptions(degree_cap=1))
-    assert not res.complete
-    with pytest.raises(ValueError):
-        regularity(res)
+def test_zero_ideal_has_nothing_to_resolve(ring_qq_xy):
+    with pytest.raises(ValueError, match="nothing to resolve"):
+        free_resolution([ring_qq_xy.zero()])
+    with pytest.raises(ValueError, match="nothing to resolve"):
+        free_resolution([])
+
+
+def test_resolution_of_module_elements(cubic_grevlex):
+    # the twisted cubic's syzygy module is free of rank 2, in degree 3
+    ring, gens = cubic_grevlex
+    res = free_resolution(syzygies(gens))
+    assert res.betti().entries == {(0, 3): 2}
+    assert res.length == 0
 
 
 def test_resolution_matrix_accessor(cubic_grevlex):
@@ -202,3 +208,11 @@ def test_bs_small_field_guard():
     x, y = ring.variables()
     with pytest.raises(ValueError):
         bayer_stillman_test([x * x], 2, trials=30)
+
+
+def test_bs_needs_a_trial():
+    # zero trials certify nothing, and the cubic is 2-regular
+    ring, gens = twisted_cubic(GF(32003), GREVLEX)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="at least one trial"):
+            bayer_stillman_test(gens, 2, trials=trials)
