@@ -3,12 +3,23 @@
 Scalars are plain Python values (Fraction over the rationals, int residues
 in [0, p) over a prime field); the field object supplies the arithmetic so
 polynomial code stays representation-agnostic.
+
+Division does not reduce on Fractions.  Over QQ, ``integer_form`` writes a
+list of coefficients as one rational scale num/den times coprime integers,
+and ``cancel`` gives the integer multipliers of a reduction step, so
+``modules.module_divide`` runs its steps, and ``Polynomial.submul`` its
+merges, in integer arithmetic; only the quotient coefficients and the
+remainder terms become Fractions.  A prime field reduces on its residues
+as they are.  Every coefficient a caller sees is still a Fraction over QQ,
+and everything stays exact.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 __all__ = ["Field", "RationalField", "PrimeField", "QQ", "GF"]
 
@@ -55,6 +66,18 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def integer_form(self, coeffs):
+        """The coefficients a division reduces on: None, meaning the
+        coefficients as they are (a prime field's residues cannot grow), or
+        (num, den, integers, bits) with coeffs[k] = num/den * integers[k]."""
+        return None
+
+    def cancel(self, t, e):
+        """(a, b) with a > 0 and a*t == b*e: the reduction step
+        a*g - b*x^q*f cancels a lead t of g against the lead e of f.  A
+        prime field takes a = 1 and b = t/e."""
+        return 1, (t if e == 1 else self.div(t, e))
+
     @property
     def zero(self):
         return self.normalize(0)
@@ -82,22 +105,43 @@ class RationalField(Field):
             return Fraction(a)
         raise TypeError(f"cannot coerce {a!r} into QQ")
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    # the operators themselves: they serve Fractions, and the integers of
+    # integer_form, without a Python frame per call
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
+
+    div = staticmethod(Fraction)  # Fraction(a, b) is a / b for any rationals a, b
+
+    def integer_form(self, coeffs):
+        """(num, den, integers, bits): coeffs[k] = num/den * integers[k]
+        with the integers coprime and num, den > 0 (one for no
+        coefficients); bits is the largest integer's bit length.  Takes
+        Fractions or ints."""
+        coeffs = list(coeffs)
+        ints = [c.numerator for c in coeffs]
+        dens = [c.denominator for c in coeffs]
+        den = lcm(*dens)
+        if den != 1:
+            ints = [n * (den // d) for n, d in zip(ints, dens)]
+        num = gcd(*ints) or 1
+        if num != 1:
+            ints = [x // num for x in ints]
+        return num, den, ints, max(map(int.bit_length, ints), default=0)
+
+    def cancel(self, t, e):
+        """(a, b) = (e/h, t/h) for integers t and e, where h = gcd(t, e)
+        carries the sign of e."""
+        h = gcd(t, e)
+        if e < 0:
+            h = -h
+        return e // h, t // h
 
     def random_scalar(self, rng):
         # small integers keep certificate arithmetic readable
@@ -145,18 +189,13 @@ class PrimeField(Field):
         return (-a) % self.modulus
 
     def inv(self, a):
-        # extended Euclid; deterministic and branch-free enough to trust
         p = self.modulus
-        a %= p
-        if a == 0:
+        if a % p == 0:
             raise ZeroDivisionError(f"inverse of zero in F_{p}")
-        r0, r1 = p, a
-        s0, s1 = 0, 1
-        while r1:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
-        return s0 % p
+        return pow(a, -1, p)
+
+    def div(self, a, b):
+        return a % self.modulus if b == 1 else self.mul(a, self.inv(b))
 
     def random_scalar(self, rng):
         return rng.randrange(min(self.modulus, 2**20))

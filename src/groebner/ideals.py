@@ -568,11 +568,12 @@ def sat_defect(gens, seed: int = 0, opts: BuchbergerOptions | None = None) -> Sa
     the table's alternating sum over (1-t)^nvars.  The saturation's is read
     off the leads of its basis in the generic coordinates where it was
     computed: a linear change of coordinates keeps the Hilbert function, so
-    nothing is carried back.
+    nothing is carried back.  The zero ideal has no resolution to read a
+    regularity from, so it raises ValueError, as free_resolution does.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
-        return SatDefect(0, {}, 0, 0)
+        raise ValueError("nothing to resolve")
     ring = gens[0].ring
     for g in gens:
         if not g.is_homogeneous():

@@ -24,7 +24,8 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice
+from math import gcd
 from typing import NamedTuple
 
 from .oracle import Echelon
@@ -167,14 +168,39 @@ class FreeModule:
 
 class ModuleElement:
     """Immutable element of a free module, stored componentwise.  Its lead
-    term is computed on first request and kept."""
+    term and its integer form are computed on first request and kept."""
 
-    __slots__ = ("module", "comps", "_lead")
+    __slots__ = ("module", "comps", "_lead", "_form")
 
     def __init__(self, module: FreeModule, comps: tuple):
         self.module = module
         self.comps = comps
         self._lead = None
+        self._form = None
+
+    def integer_form(self):
+        """(num, den, comps, bits), the form module_divide reduces on, with
+        self = num/den * comps.  Over QQ the components have coprime integer
+        coefficients, num and den are positive integers and bits is the
+        largest coefficient's bit length (fields.Field.integer_form); over
+        a prime field the form is (1, 1, self.comps, None).  A basis element
+        is a divisor many times, so its form is built once and kept."""
+        if self._form is None:
+            ring = self.module.ring
+            form = ring.field.integer_form(t.coeff for p in self.comps for t in p.terms)
+            if form is None:
+                self._form = (1, 1, self.comps, None)
+            else:
+                num, den, ints, bits = form
+                new = tuple.__new__
+                it = iter(ints)
+                # zip stops at the end of p.terms without drawing from it
+                comps = tuple(
+                    Polynomial(ring, tuple([new(Term, (c, t[1])) for t, c in zip(p.terms, it)]))
+                    for p in self.comps
+                )
+                self._form = (num, den, comps, bits)
+        return self._form
 
     @property
     def is_zero(self) -> bool:
@@ -304,31 +330,50 @@ def module_divide(g: ModuleElement, divisors,
                   opts: BuchbergerOptions | None = None) -> ModuleDivisionResult:
     """Least-index division of g by a list of module elements.
 
-    Works on one mutable component list, with each component's lead key
-    cached, so a reduction step only touches the components the chosen
-    divisor actually has.  A divisor's lead is compared by exponents only
-    when its divisibility mask (poly.mono_mask) fits inside the current
-    lead's, which passes every true divisor.  Under opts the deadline is
-    checked every DEADLINE_STRIDE steps.
+    The steps run on integer forms (ModuleElement.integer_form).  The
+    dividend is held as rho * h, with one scale rho = rn/rd for all its
+    components, and each divisor f as sigma * f~ with lead coefficient e.  A
+    step h <- a*h - b*x^q*f~ takes (a, b) from field.cancel(t, e) for the
+    lead coefficient t of h, and rd <- rd * a.  Its quotient coefficient is
+    rho * b / sigma and a remainder term is rho * t, each one field.div of
+    two integers, so quotients and remainder are those of the division over
+    the field itself.  Over QQ these are the only Fractions, and the content
+    of h is divided out (and rn/rd reduced) when a reduced lead has more
+    than twice the bits of the lead that prompted the last removal (at
+    first, of the largest coefficient of h).  Over a prime field
+    rho = sigma = a = 1 and b = t/e.
+
+    The lead falls at every step, so by multiplicativity each divisor's
+    quotient terms arrive in strictly descending order and no sort or merge
+    is needed.  Each component keeps a read offset, so moving its lead to
+    the remainder copies nothing; a step merges only the components the
+    chosen divisor has (and, when a is not one, scales the others).  A
+    divisor's lead is compared by exponents only when its divisibility mask
+    (poly.mono_mask) fits inside the current lead's, which passes every true
+    divisor.  Under opts the deadline is checked every DEADLINE_STRIDE steps.
     """
     divisors = list(divisors)
     module = g.module
     ring = module.ring
     field = ring.field
-    order = module.order
+    fdiv, fmul = field.div, field.mul
     mask = ring.monomial_mask
+    masks = ring._mask_cache  # a miss (or a zero mask) falls back to mask()
+    new = tuple.__new__
     candidates = {}  # component -> [(index, lead, lead mask)] by ascending index
     for i, f in enumerate(divisors):
         lt = f.lead_term()
         candidates.setdefault(lt.component, []).append((i, lt, mask(lt.monomial)))
 
-    comps = list(g.comps)
-    keys = [
-        None if p.is_zero else order.key(p.lead_monomial, ci)
-        for ci, p in enumerate(comps)
-    ]
-    quotients = [{} for _ in divisors]
-    inverses = {}  # divisor index -> inverse of its lead coefficient
+    rn, rd, comps, bits = g.integer_form()
+    comps = list(comps)
+    starts = [0] * len(comps)  # read offset of each component
+    limit = None if bits is None else 2 * bits
+    # a lone component needs no order between components
+    key = module.order.key if len(comps) > 1 else lambda mono, ci: True
+    keys = [None if p.is_zero else key(p.lead_monomial, ci) for ci, p in enumerate(comps)]
+    quotients = [[] for _ in divisors]  # quotient terms, descending (see below)
+    forms = {}  # divisor index -> (sigma numerator, denominator, components, e)
     rem_terms = [[] for _ in comps]
     steps = 0
     while True:
@@ -340,35 +385,48 @@ def module_divide(g: ModuleElement, divisors,
                 best_ci = ci
         if best_ci < 0:
             break
-        t = comps[best_ci].terms[0]
-        outside = ~mask(t.monomial)
+        terms = comps[best_ci].terms
+        t, lead = terms[starts[best_ci]]
+        outside = ~(masks.get(lead) or mask(lead))
         for i, lt, lead_mask in candidates.get(best_ci, ()):
             if lead_mask & outside:
                 continue
-            q = mono_div(t.monomial, lt.monomial)
+            q = mono_div(lead, lt.monomial)
             if q is not None:
-                inv = inverses.get(i)
-                if inv is None:
-                    inv = inverses[i] = field.inv(lt.coeff)
-                c = field.mul(t.coeff, inv)
-                bucket = quotients[i]
-                bucket[q] = field.add(bucket[q], c) if q in bucket else c
-                for ci2, fp in enumerate(divisors[i].comps):
+                form = forms.get(i)
+                if form is None:
+                    sn, sd, fcomps, _ = divisors[i].integer_form()
+                    form = forms[i] = (sn, sd, fcomps, fcomps[lt.component].terms[0].coeff)
+                sn, sd, fcomps, e = form
+                a, b = field.cancel(t, e)
+                if a != 1:
+                    rd *= a
+                    for ci2, fp in enumerate(fcomps):
+                        if fp.is_zero and keys[ci2] is not None:
+                            comps[ci2] = Polynomial(ring, tuple([
+                                new(Term, (fmul(a, c), m))
+                                for c, m in comps[ci2].terms[starts[ci2]:]
+                            ]))
+                            starts[ci2] = 0
+                c = fdiv(rn * b * sd, rd * sn)
+                quotients[i].append(new(Term, (c, q)))
+                for ci2, fp in enumerate(fcomps):
                     if fp.is_zero:
                         continue
-                    updated = comps[ci2].submul(c, q, fp)
-                    comps[ci2] = updated
-                    keys[ci2] = (
-                        None if updated.is_zero else order.key(updated.lead_monomial, ci2)
-                    )
+                    p = comps[ci2]
+                    if starts[ci2]:
+                        p = Polynomial(ring, p.terms[starts[ci2]:])
+                        starts[ci2] = 0
+                    updated = comps[ci2] = p.submul(b, q, fp, a)
+                    keys[ci2] = None if updated.is_zero else key(updated.lead_monomial, ci2)
+                if limit is not None and t.bit_length() > limit:
+                    rn, rd, comps = _remove_content(ring, rn, rd, comps, starts)
+                    limit = 2 * t.bit_length()
                 break
         else:
-            rem_terms[best_ci].append(t)
-            shorter = comps[best_ci].drop_lead()
-            comps[best_ci] = shorter
-            keys[best_ci] = (
-                None if shorter.is_zero else order.key(shorter.lead_monomial, best_ci)
-            )
+            rem_terms[best_ci].append(new(Term, (fdiv(rn * t, rd), lead)))
+            start = starts[best_ci] = starts[best_ci] + 1
+            keys[best_ci] = None if start == len(terms) else key(terms[start].monomial, best_ci)
         steps += 1
         if opts is not None and not steps % DEADLINE_STRIDE:
             opts.check_deadline()
@@ -377,10 +435,30 @@ def module_divide(g: ModuleElement, divisors,
         module, tuple(Polynomial(ring, tuple(ts)) for ts in rem_terms)
     )
     zero = ring.zero()
-    qpolys = tuple(
-        ring.polynomial((c, m) for m, c in b.items()) if b else zero for b in quotients
-    )
+    qpolys = tuple(Polynomial(ring, tuple(ts)) if ts else zero for ts in quotients)
     return ModuleDivisionResult(remainder, qpolys, steps)
+
+
+def _remove_content(ring, rn, rd, comps, starts):
+    """Divide the content of integer components, read from their offsets,
+    into the scale rn/rd.  Returns (rn, rd, components); the offsets are
+    reset when the content is not one."""
+    num = 0
+    for p, s in zip(comps, starts):
+        for c, _ in islice(p.terms, s, None):
+            num = gcd(num, c)
+            if num == 1:
+                return rn, rd, comps
+    if num == 0:  # nothing left
+        return rn, rd, comps
+    comps = [
+        Polynomial(ring, tuple([Term(c // num, m) for c, m in islice(p.terms, s, None)]))
+        for p, s in zip(comps, starts)
+    ]
+    starts[:] = [0] * len(comps)
+    rn *= num
+    h = gcd(rn, rd)
+    return rn // h, rd // h, comps
 
 
 # ---------------------------------------------------------------------------

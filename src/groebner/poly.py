@@ -230,9 +230,6 @@ class Polynomial:
         d = mono_degree(self.terms[0].monomial)
         return all(mono_degree(t.monomial) == d for t in self.terms)
 
-    def drop_lead(self) -> "Polynomial":
-        return Polynomial(self.ring, self.terms[1:])
-
     # -- arithmetic ---------------------------------------------------------
     def _check_ring(self, other: "Polynomial"):
         if self.ring != other.ring:
@@ -328,32 +325,39 @@ class Polynomial:
         c = field.normalize(c)
         if c == 0:
             return self.ring.zero()
+        if c == 1:
+            return self
         return Polynomial(
             self.ring, tuple(Term(field.mul(c, t.coeff), t.monomial) for t in self.terms)
         )
 
     def monomial_mul(self, coeff, mono: Monomial) -> "Polynomial":
         """Multiply by coeff * x^mono; term order is preserved by
-        multiplicativity, so no re-sort happens."""
+        multiplicativity, so no re-sort happens.  A coefficient one only
+        shifts the monomials."""
         field = self.ring.field
         coeff = field.normalize(coeff)
         if coeff == 0:
             return self.ring.zero()
-        return Polynomial(
-            self.ring,
-            tuple(
-                Term(field.mul(coeff, t.coeff), mono_mul(t.monomial, mono))
-                for t in self.terms
-            ),
-        )
+        new = tuple.__new__
+        if coeff == 1:
+            terms = [new(Term, (c, mono_mul(m, mono))) for c, m in self.terms]
+        else:
+            mul = field.mul
+            terms = [new(Term, (mul(coeff, c), mono_mul(m, mono))) for c, m in self.terms]
+        return Polynomial(self.ring, tuple(terms))
 
-    def submul(self, coeff, mono: Monomial, f: "Polynomial") -> "Polynomial":
-        """self - coeff * x^mono * f as a single merge; the reduction step.
+    def submul(self, coeff, mono: Monomial, f: "Polynomial", scale=1, /) -> "Polynomial":
+        """scale * self - coeff * x^mono * f as a single merge; the
+        reduction step.
 
         The loop is driven by f's terms: each product term's key is read
         from the ring's cache, self's terms above it are copied through,
         and -coeff is formed once, so a product term costs one field
         multiplication (plus one addition where it meets a term of self).
+        A scale other than one multiplies self's terms first: over QQ a
+        division step merges integer forms as a*g - b*x^q*f
+        (fields.Field.cancel), with a as the scale.
         """
         ring = self.ring
         field = ring.field
@@ -364,6 +368,8 @@ class Polynomial:
         key = ring._key
         new = tuple.__new__  # builds a Term without its constructor's Python frame
         a = self.terms
+        if scale != 1:
+            a = [new(Term, (fmul(scale, c), m)) for c, m in a]
         na = len(a)
         out = []
         push = out.append

@@ -126,6 +126,17 @@ def test_zero_ideal_has_nothing_to_resolve(tmp_path, capsys):
         assert captured.err == "error: nothing to resolve\n"
 
 
+def test_satdefect_of_the_zero_ideal_has_nothing_to_resolve(tmp_path, capsys):
+    # as regularity: no resolution, so no defect below a regularity
+    f = tmp_path / "zero.id"
+    f.write_text("field QQ\nring x y\nf1 = 0\n")
+    rc = main(["satdefect", str(f)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: nothing to resolve\n"
+
+
 def test_gb_and_reduce_drop_zero_generators(tmp_path, capsys):
     f = tmp_path / "zero.id"
     f.write_text("field QQ\nring x y\nf1 = x*y\nf2 = 0\n")

@@ -1,5 +1,6 @@
 """Scalars, monomial orders, and polynomial arithmetic."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -45,6 +46,24 @@ def test_rational_normalization():
     assert QQ.normalize(4) == Fraction(4)
     x = QQ.div(QQ.normalize(6), QQ.normalize(-4))
     assert x.denominator == 2 and x.numerator == -3
+    assert type(QQ.div(6, -4)) is Fraction and QQ.div(6, -4) == x
+
+
+def test_integer_forms_and_the_step_multipliers():
+    coeffs = [Fraction(-4, 3), Fraction(2, 9), Fraction(10, 3)]
+    num, den, ints, bits = QQ.integer_form(coeffs)
+    assert (num, den, ints, bits) == (2, 9, [-6, 1, 15], 4)
+    assert [Fraction(num, den) * k for k in ints] == coeffs
+    assert QQ.integer_form([5, -10])[:3] == (5, 1, [1, -2])
+    # a > 0 and a*t == b*e, with the gcd taken out
+    for t, e in [(6, -4), (-6, 4), (7, 3), (12, 12)]:
+        a, b = QQ.cancel(t, e)
+        assert a > 0 and a * t == b * e and abs(math.gcd(a, b)) == 1
+    F = GF(7)
+    assert F.integer_form([3, 5]) is None
+    assert F.cancel(3, 1) == (1, 3)
+    a, b = F.cancel(3, 2)
+    assert a == 1 and F.mul(b, 2) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from groebner import (
     twisted_cubic,
     weight_order,
 )
-from groebner.ideals import dehomogenize_polynomial, generic_change
+from groebner.ideals import SatDefect, dehomogenize_polynomial, generic_change
 from groebner.modules import BuchbergerOptions, CapInterrupted
 from groebner.oracle import ideal_dim_in_degree, membership_in_degree
 
@@ -373,6 +373,16 @@ def test_sat_defect_examples(cubic_lex):
 
     R3 = PolynomialRing(QQ, ["x0", "x1", "x2"], GREVLEX)
     assert sat_defect([R3.one()], seed=1).total == 0
+
+
+def test_sat_defect_of_the_zero_ideal_has_nothing_to_resolve():
+    # as free_resolution: the zero ideal has no regularity to read
+    ring = PolynomialRing(QQ, ["x0", "x1", "x2"], GREVLEX)
+    for gens in ([], [ring.zero()]):
+        with pytest.raises(ValueError, match="nothing to resolve"):
+            sat_defect(gens, seed=1)
+    # the unit ideal keeps its answer
+    assert sat_defect([ring.zero(), ring.one()], seed=1) == SatDefect(0, {}, 0, 0)
 
 
 def test_sat_defect_passes_its_options_to_every_completion(monkeypatch):
