@@ -10,7 +10,7 @@ on many generators.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import comb
 
 from .buchberger import BuchbergerOptions, GroebnerBasis, buchberger
@@ -18,6 +18,7 @@ from .division import divide
 from .modules import CapInterrupted, _combine, _neg_key, syzygies
 from .orders import GREVLEX, OrderSpec, eliminate_order
 from .poly import (
+    CoordinateChange,
     Polynomial,
     PolynomialRing,
     mono_degree,
@@ -422,64 +423,6 @@ def homogenize(gens, name: str = "u"):
 # ---------------------------------------------------------------------------
 # generic coordinate changes and full saturation
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CoordinateChange:
-    """The linear change x_i -> sum_j matrix[i][j] x_j and its inverse.
-
-    Each direction expands monomials through one table {monomial: {monomial:
-    coeff}} that every polynomial it maps shares: the image of m is the
-    image of m / x_i times the image of x_i, for x_i the first variable of m,
-    so each monomial is expanded once per change.  A polynomial's image is
-    the sum of its coefficients times the images of its monomials.
-    """
-
-    ring: PolynomialRing
-    matrix: list
-    inverse: list
-    _forward: dict = field(init=False, repr=False, compare=False)
-    _backward: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        one = (0,) * self.ring.nvars
-        self._forward = {one: {one: self.ring.field.one}}
-        self._backward = {one: {one: self.ring.field.one}}
-
-    def apply(self, f: Polynomial) -> Polynomial:
-        return self._expand(f, self.matrix, self._forward)
-
-    def unapply(self, f: Polynomial) -> Polynomial:
-        return self._expand(f, self.inverse, self._backward)
-
-    def _expand(self, f, mat, table):
-        add, mul = self.ring.field.add, self.ring.field.mul
-        acc = {}
-        for t in f.terms:
-            for m, c in self._image(t.monomial, mat, table).items():
-                c = mul(t.coeff, c)
-                acc[m] = add(acc[m], c) if m in acc else c
-        return self.ring.polynomial((c, m) for m, c in acc.items())
-
-    def _image(self, mono, mat, table):
-        # strip first variables down to an expanded monomial, then multiply
-        # the stripped forms back in, recording every step
-        steps = []
-        while mono not in table:
-            i = next(k for k, e in enumerate(mono) if e)
-            steps.append((mono, i))
-            mono = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-        img = table[mono]
-        add, mul = self.ring.field.add, self.ring.field.mul
-        for mono, i in reversed(steps):
-            nxt = {}
-            for m, c in img.items():
-                for j, a in enumerate(mat[i]):
-                    if a != 0:
-                        n = m[:j] + (m[j] + 1,) + m[j + 1:]
-                        nxt[n] = add(nxt[n], mul(c, a)) if n in nxt else mul(c, a)
-            img = table[mono] = {m: c for m, c in nxt.items() if c != 0}
-        return img
-
 
 def generic_change(gens, seed: int = 0) -> tuple:
     """Apply a seeded random invertible linear change of coordinates."""

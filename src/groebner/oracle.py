@@ -7,7 +7,7 @@ membership questions without any Groebner machinery.  Everything here is
 exact Gaussian elimination with first-nonzero pivoting.  The tests use it
 as ground truth.  The generic-forms regularity test and
 ``modules.minimalize_generators`` grow an ``Echelon`` row by row, since
-they need nothing but ranks.  Stable monomial ideals need not even that:
+they need nothing but ranks and pivot positions.  Stable monomial ideals need not even that:
 ``eliahou_kervaire_betti`` reads their Betti tables off the generators.
 """
 
@@ -137,21 +137,18 @@ class Echelon:
     """Row echelon form grown one sparse row ``{column: coeff}`` at a time.
 
     A row is reduced only at its leading (smallest) column against the
-    pivot rows kept so far, so a rank needs no back-substitution.  Stored
-    pivot rows are normalized to lead 1 and never mutated, which makes
-    ``copy`` a copy of the pivot dictionary alone.
+    pivot rows kept so far, so a rank needs no back-substitution, and the
+    pivots inside a prefix of the columns count the rank of the rows'
+    projection onto that prefix.  Stored pivot rows are normalized to lead 1.
     """
 
-    def __init__(self, field, pivots=None):
+    def __init__(self, field):
         self.field = field
-        self.pivots = {} if pivots is None else pivots  # lead column -> row
+        self.pivots = {}  # lead column -> row
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def copy(self) -> "Echelon":
-        return Echelon(self.field, dict(self.pivots))
 
     def add(self, row: dict) -> bool:
         """Reduce the row, which is consumed; keep it and return True when

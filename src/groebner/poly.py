@@ -8,11 +8,13 @@ The ring caches, per monomial it has seen, its order key (``_key_cache``)
 and its divisibility mask (``_mask_cache``, see ``mono_mask``); both caches
 live and die with the ring.  ``Polynomial.submul`` is the reduction step
 that every division in the package runs through: one merge of self with
-the scaled product, driven by the product's terms.
+the scaled product, driven by the product's terms.  ``CoordinateChange``
+maps polynomials through a linear change of the variables and back.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from operator import add, le, sub
 from typing import Iterable, NamedTuple
 
@@ -20,7 +22,7 @@ from .fields import Field
 from .orders import GREVLEX, OrderSpec
 
 __all__ = [
-    "Term", "Monomial", "PolynomialRing", "Polynomial", "leading_term",
+    "Term", "Monomial", "PolynomialRing", "Polynomial", "leading_term", "CoordinateChange",
     "mono_mul", "mono_div", "mono_lcm", "mono_divides", "mono_degree", "mono_mask",
 ]
 
@@ -467,3 +469,61 @@ class Polynomial:
 def leading_term(f: Polynomial) -> Term:
     """Largest term of f under its ring's order; rejects the zero polynomial."""
     return f.lead_term
+
+
+@dataclasses.dataclass
+class CoordinateChange:
+    """The linear change x_i -> sum_j matrix[i][j] x_j and its inverse.
+
+    Each direction expands monomials through one table {monomial: {monomial:
+    coeff}} that every polynomial it maps shares: the image of m is the
+    image of m / x_i times the image of x_i, for x_i the first variable of m,
+    so each monomial is expanded once per change.  A polynomial's image is
+    the sum of its coefficients times the images of its monomials.
+    """
+
+    ring: PolynomialRing
+    matrix: list
+    inverse: list
+    _forward: dict = dataclasses.field(init=False, repr=False, compare=False)
+    _backward: dict = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        one = (0,) * self.ring.nvars
+        self._forward = {one: {one: self.ring.field.one}}
+        self._backward = {one: {one: self.ring.field.one}}
+
+    def apply(self, f: Polynomial) -> Polynomial:
+        return self._expand(f, self.matrix, self._forward)
+
+    def unapply(self, f: Polynomial) -> Polynomial:
+        return self._expand(f, self.inverse, self._backward)
+
+    def _expand(self, f, mat, table):
+        add, mul = self.ring.field.add, self.ring.field.mul
+        acc = {}
+        for t in f.terms:
+            for m, c in self._image(t.monomial, mat, table).items():
+                c = mul(t.coeff, c)
+                acc[m] = add(acc[m], c) if m in acc else c
+        return self.ring.polynomial((c, m) for m, c in acc.items())
+
+    def _image(self, mono, mat, table):
+        # strip first variables down to an expanded monomial, then multiply
+        # the stripped forms back in, recording every step
+        steps = []
+        while mono not in table:
+            i = next(k for k, e in enumerate(mono) if e)
+            steps.append((mono, i))
+            mono = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+        img = table[mono]
+        add, mul = self.ring.field.add, self.ring.field.mul
+        for mono, i in reversed(steps):
+            nxt = {}
+            for m, c in img.items():
+                for j, a in enumerate(mat[i]):
+                    if a != 0:
+                        n = m[:j] + (m[j] + 1,) + m[j + 1:]
+                        nxt[n] = add(nxt[n], mul(c, a)) if n in nxt else mul(c, a)
+            img = table[mono] = {m: c for m, c in nxt.items() if c != 0}
+        return img

@@ -9,9 +9,11 @@ and finished: a degree cap that stops a completion raises CapInterrupted.
 
 Regularity is read off the minimal resolution as the largest shift minus
 homological step, with the resolved object sitting at step 0.  The
-randomized test checks the same number through the lift-and-quotient chain
-on generic linear forms, using degree-truncated linear algebra only: one
-sparse echelon per degree, in which each row is reduced once.
+randomized test checks the same number by the Bayer–Stillman criterion, one
+general hyperplane section at a time: a seeded substitution makes the next
+general linear form a variable, and setting that variable to zero cuts the
+ring by one.  Each section needs only the dimensions of two degree slices,
+read off the pivots of one sparse echelon per degree.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .modules import (
     syzygy_generators,
 )
 from .oracle import Echelon, monomials_of_degree
-from .poly import Polynomial, mono_degree, mono_mul
+from .poly import CoordinateChange, Polynomial, mono_degree, mono_mul
 
 __all__ = [
     "FreeResolution", "BettiTable", "free_resolution", "regularity",
@@ -182,29 +184,57 @@ def regularity(res: FreeResolution) -> int:
 # randomized regularity test
 # ---------------------------------------------------------------------------
 
-def _multiple_rows(f, monos, index):
-    """Sparse rows of f * mono, one per mono, over the column index."""
-    terms = [(t.monomial, t.coeff) for t in f.terms]
-    for mono in monos:
-        yield {index[mono_mul(e, mono)]: c for e, c in terms}
+def _last_variable_change(ring, k: int, coeffs) -> CoordinateChange:
+    """x_{k-1} -> x_{k-1} + sum_i coeffs[i] x_i, the identity elsewhere; its
+    inverse subtracts the same combination."""
+    n, field = ring.nvars, ring.field
+    matrix = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    inverse = [list(row) for row in matrix]
+    matrix[k - 1][:k - 1] = coeffs
+    inverse[k - 1][:k - 1] = [field.neg(a) for a in coeffs]
+    return CoordinateChange(ring, matrix, inverse)
+
+
+def _section_dims(ring, gens, k: int, d: int) -> tuple:
+    """(dim (S/I)_d, dim (S/(I, x_{k-1}))_d) for S the ring of the first k
+    variables and I generated by gens, which lie in S.  One echelon holds the
+    degree-d multiples, its columns the monomials free of x_{k-1} first; a
+    stored row starts at its smallest column, so the pivots inside that
+    prefix count the rank of the projection x_{k-1} = 0."""
+    pad = (0,) * (ring.nvars - k)
+    columns = sorted((e + pad for e in monomials_of_degree(k, d)), key=lambda e: e[k - 1] > 0)
+    index = {e: i for i, e in enumerate(columns)}
+    free = sum(1 for e in columns if not e[k - 1])
+    echelon = Echelon(ring.field)
+    for g in gens:
+        terms = [(t.monomial, t.coeff) for t in g.terms]
+        for mono in monomials_of_degree(k, d - g.total_degree()):
+            mono += pad
+            echelon.add({index[mono_mul(e, mono)]: c for e, c in terms})
+    in_prefix = sum(1 for c in echelon.pivots if c < free)
+    return len(columns) - echelon.rank, free - in_prefix
 
 
 def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0) -> str:
-    """Randomized regularity-at-m test via generic linear forms.
+    """Randomized regularity-at-m test (Bayer & Stillman, 1987).
 
-    Each trial draws forms y_0, y_1, ... and checks, in degrees m and m+1
-    only, that multiplication by y_j cannot detect anything outside the
-    accumulated ideal (I, y_0, .., y_{j-1}), and that the accumulated ideal
-    eventually fills the whole degree-m slice.  Any passing trial certifies
-    m-regularity.  A failure is order-independent when it comes from the
-    generator degrees; otherwise all trials must fail, which is conclusive
-    over a large field because passing forms fill a Zariski-open set.
+    I is m-regular when it is generated in degrees <= m and, for general
+    linear forms y_0, y_1, .., each I_j = (I, y_0, .., y_{j-1}) has
+    (I_j : y_j)_m = (I_j)_m until (I_j)_m = S_m.  A trial takes the forms
+    one hyperplane at a time, in the variables: step j works in the k
+    variables left, replaces x_{k-1} by x_{k-1} plus a random combination
+    of the others, which leaves sparse generators sparse, and then sets
+    x_{k-1} = 0 for the next step.  With h_j(d) = dim (S/I_j)_d, a step
+    passes the trial when h_j(m) = 0 and fails it when
+    h_j(m) - h_j(m+1) + h_{j+1}(m+1), the dimension of ((I_j : x)/I_j)_m,
+    is not 0.  The four numbers come from two echelons of the generators'
+    multiples, in degrees m and m+1, each read once.
 
-    Both slices live in sparse echelons: the ideal's multiples are reduced
-    once per call, and each trial grows copies of them, so every row is
-    reduced once.  The rows y_j * S_m that detect the colon are exactly the
-    rows y_j adds to the degree-(m+1) slice, so their rank gain gives the
-    colon's dimension and they stay for the next form.
+    Any passing trial certifies m-regularity.  A failure is
+    order-independent when it comes from the generator degrees; otherwise
+    all trials must fail, which is conclusive over a large field because
+    passing forms fill a Zariski-open set.  Over a small field the verdict
+    is then INCONCLUSIVE.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -218,8 +248,6 @@ def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0) -> str:
     min_gens = minimalize_generators(gens)
     if max(g.total_degree() for g in min_gens) > m:
         return NOT_REGULAR
-    if m < 1:
-        return NOT_REGULAR
 
     if trials < 1:
         raise ValueError("the test needs at least one trial")
@@ -227,51 +255,22 @@ def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0) -> str:
     if small_field and trials > field.modulus:
         raise ValueError("field too small for the requested number of trials")
 
-    nvars = ring.nvars
-    basis_m = monomials_of_degree(nvars, m)
-    basis_below = monomials_of_degree(nvars, m - 1)
-    index_m = {mono: i for i, mono in enumerate(basis_m)}
-    index_m1 = {mono: i for i, mono in enumerate(monomials_of_degree(nvars, m + 1))}
-    dim_sm = len(basis_m)
-
-    ideal_m, ideal_m1 = Echelon(field), Echelon(field)
-    for g in gens:
-        for echelon, d, index in ((ideal_m, m, index_m), (ideal_m1, m + 1, index_m1)):
-            for row in _multiple_rows(g, monomials_of_degree(nvars, d - g.total_degree()), index):
-                echelon.add(row)
-
     for trial in range(trials):
         rng = random.Random(seed * 1000003 + trial)
-        ys = []
-        for _ in range(nvars):
-            while True:
-                coeffs = [field.random_scalar(rng) for _ in range(nvars)]
-                if any(c != 0 for c in coeffs):
-                    break
-            ys.append(
-                ring.polynomial(
-                    (c, tuple(1 if k == i else 0 for k in range(nvars)))
-                    for i, c in enumerate(coeffs)
-                )
-            )
-
-        span_m, span_m1 = ideal_m.copy(), ideal_m1.copy()
-        passed = None
-        for y in ys:
-            if span_m.rank == dim_sm:
-                passed = True
+        section = min_gens
+        for k in range(ring.nvars, 0, -1):
+            coeffs = [field.random_scalar(rng) for _ in range(k - 1)]
+            change = _last_variable_change(ring, k, coeffs)
+            section = [change.apply(g) for g in section]
+            h_m, _ = _section_dims(ring, section, k, m)
+            if h_m == 0:
+                return REGULAR
+            h_m1, h_next_m1 = _section_dims(ring, section, k, m + 1)
+            if h_m - h_m1 + h_next_m1:
                 break
-            # dim of {f in S_m : y*f in U_{m+1}} is dim S_m minus the rank
-            # that y * S_m adds to U_{m+1}
-            gain = sum(span_m1.add(row) for row in _multiple_rows(y, basis_m, index_m1))
-            if dim_sm - gain != span_m.rank:
-                passed = False
-                break
-            for row in _multiple_rows(y, basis_below, index_m):
-                span_m.add(row)
-        if passed is None:
-            passed = span_m.rank == dim_sm
-        if passed:
-            return REGULAR
+            cut = (tuple(t for t in g.terms if not t.monomial[k - 1]) for g in section)
+            section = [Polynomial(ring, terms) for terms in cut if terms]
+        else:
+            return REGULAR  # no variable is left, and m >= 1 here
 
     return INCONCLUSIVE if small_field else NOT_REGULAR

@@ -307,6 +307,15 @@ def test_bs_regular_command(capsys):
     assert rc == 0 and out == "regular"
 
 
+def test_bs_regular_unit_ideal_at_zero(tmp_path, capsys):
+    f = tmp_path / "unit.id"
+    f.write_text("field Fp:32003\nring x y z\nf1 = 1\n")
+    rc = main(["bs-regular", "--m", "0", str(f)])
+    assert rc == 0 and capsys.readouterr().out.strip() == "regular"
+    rc = main(["regularity", str(f)])
+    assert rc == 0 and capsys.readouterr().out.strip() == "regularity: 0"
+
+
 def test_bs_regular_rejects_zero_trials(capsys):
     rc = main(["bs-regular", "--m", "2", "--trials", "0", "--field", "Fp:32003", CUBIC])
     captured = capsys.readouterr()

@@ -18,6 +18,8 @@ from groebner import (
     buchberger,
     free_resolution,
     hilbert_function,
+    mayr_meyer,
+    minimalize_generators,
     random_ideal,
     regularity,
     syzygies,
@@ -175,16 +177,48 @@ def test_bs_single_variable():
     assert bayer_stillman_test([ring.variable(0)], 1) == REGULAR
 
 
+def _bs_cases(field):
+    """(name, generators): generic and raw coordinates, and monomial ideals
+    that are not Borel-fixed."""
+    for seed in (11, 12, 13):
+        ring, gens = random_ideal(seed, 3, 2, 2, field=field)
+        yield f"generic {seed}", generic_change(gens, seed=seed + 100)[0]
+        yield f"raw {seed}", gens
+    yield "raw 4-variable cubics", random_ideal(11, 4, 2, 3, field=field)[1]
+    ring = PolynomialRing(field, ["x", "y", "z"], GREVLEX)
+    x, y, z = ring.variables()
+    yield "(x^2, y^2)", [x * x, y * y]
+    yield "(xy, z^3)", [x * y, z ** 3]
+
+
 def test_bs_agrees_with_resolution_on_seeds():
-    # over QQ the failing verdicts run every trial through the rational
-    # branch of the echelon
+    # REGULAR exactly from the regularity up, from one below the largest
+    # generator degree; over QQ the failing verdicts run every trial
+    # through the rational branch of the echelon
     for field in (GF(32003), QQ):
-        for seed in (11, 12, 13):
-            ring, gens = random_ideal(seed, 3, 2, 2, field=field)
-            changed, _ = generic_change(gens, seed=seed + 100)
-            reg = regularity(free_resolution(changed))
-            assert bayer_stillman_test(changed, reg, seed=seed) == REGULAR
-            assert bayer_stillman_test(changed, reg - 1, seed=seed) == NOT_REGULAR
+        for name, gens in _bs_cases(field):
+            reg = regularity(free_resolution(gens))
+            top = max(g.total_degree() for g in minimalize_generators(gens))
+            for m in range(top - 1, reg + 2):
+                expected = REGULAR if m >= reg else NOT_REGULAR
+                assert bayer_stillman_test(gens, m, seed=7) == expected, (field, name, m)
+
+
+def test_bs_unit_ideal():
+    # 1 has regularity 0 and passes at once; every other nonzero ideal
+    # fails at m = 0 on its generator degrees
+    ring = PolynomialRing(GF(32003), ["x", "y", "z"], GREVLEX)
+    assert regularity(free_resolution([ring.one()])) == 0
+    assert bayer_stillman_test([ring.one()], 0) == REGULAR
+    assert bayer_stillman_test([ring.one()], -1) == NOT_REGULAR
+    assert bayer_stillman_test([ring.variable(0)], 0) == NOT_REGULAR
+
+
+def test_bs_on_the_level_one_tower():
+    # regularity 11; the degree-6 slice in eleven variables has 8,008
+    # columns, and the test needs no dense change of coordinates
+    ring, gens = mayr_meyer(1, homogeneous=True, field=GF(32003))
+    assert bayer_stillman_test(gens, 5) == NOT_REGULAR
 
 
 def test_bs_keeps_rows_sparse_in_many_variables():

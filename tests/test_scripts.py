@@ -1,0 +1,31 @@
+"""The experiments in scripts/ run to completion on small arguments."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).parent.parent / "scripts"
+
+
+def _run(name, *args):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_regularity_experiment_checks_pass():
+    # the last column is the randomized test at the resolution's regularity
+    lines = _run("regularity_experiment.py", "--count", "4").splitlines()
+    assert lines[0].split()[-1] == "bs-check"
+    cells = [line.split()[-1] for line in lines[1:]]
+    assert cells == ["ok"] * 4
+
+
+@pytest.mark.parametrize("name", ["twisted_cubic_walkthrough.py", "worst_case_probe.py"])
+def test_script_runs(name):
+    assert _run(name)
