@@ -7,8 +7,9 @@ membership questions without any Groebner machinery.  Everything here is
 exact Gaussian elimination with first-nonzero pivoting.  The tests use it
 as ground truth.  The generic-forms regularity test and
 ``modules.minimalize_generators`` grow an ``Echelon`` row by row, since
-they need nothing but ranks and pivot positions.  Stable monomial ideals need not even that:
-``eliahou_kervaire_betti`` reads their Betti tables off the generators.
+they need nothing but ranks and pivot positions.  Stable monomial ideals
+need not even that: ``eliahou_kervaire_betti`` reads their Betti tables off
+the generators.
 """
 
 from __future__ import annotations

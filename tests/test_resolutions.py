@@ -192,9 +192,9 @@ def _bs_cases(field):
 
 
 def test_bs_agrees_with_resolution_on_seeds():
-    # REGULAR exactly from the regularity up, from one below the largest
-    # generator degree; over QQ the failing verdicts run every trial
-    # through the rational branch of the echelon
+    # for every m from one below the largest generator degree to reg + 1,
+    # REGULAR exactly when m >= reg; over QQ the failing verdicts run every
+    # trial through the rational branch of the echelon
     for field in (GF(32003), QQ):
         for name, gens in _bs_cases(field):
             reg = regularity(free_resolution(gens))
