@@ -21,7 +21,10 @@ from .poly import (
     CoordinateChange,
     Polynomial,
     PolynomialRing,
+    Term,
+    last_variable_change,
     mono_degree,
+    mono_div,
     mono_divides,
 )
 from .resolutions import free_resolution, regularity
@@ -132,19 +135,13 @@ def eliminate(gens, first_kept: int, opts: BuchbergerOptions | None = None):
 
 
 def _strip_variable(f: Polynomial, var_index: int) -> Polynomial:
+    """f over the largest power of x_var_index dividing it; dividing every
+    term by one monomial keeps their order."""
     shared = min(t.monomial[var_index] for t in f.terms)
     if shared == 0:
         return f
-    return Polynomial(
-        f.ring,
-        tuple(
-            type(t)(
-                t.coeff,
-                tuple(e - shared if k == var_index else e for k, e in enumerate(t.monomial)),
-            )
-            for t in f.terms
-        ),
-    )
+    unit = tuple(shared if k == var_index else 0 for k in range(f.ring.nvars))
+    return Polynomial(f.ring, tuple(Term(t.coeff, mono_div(t.monomial, unit)) for t in f.terms))
 
 
 def saturate_variable(gens, opts: BuchbergerOptions | None = None):
@@ -156,12 +153,16 @@ def saturate_variable(gens, opts: BuchbergerOptions | None = None):
     completion only reduces it.
     """
     gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        return []
+    return list(_saturate_last(gens, opts)[1]) if gens else []
+
+
+def _saturate_last(gens, opts):
+    """(grevlex basis of I, reduced basis of (I : x_n^infinity)) for
+    nonzero gens: two completions."""
     gb = _complete_basis(gens, order=GREVLEX, opts=opts)
     last = gb.ring.nvars - 1
     stripped = [_strip_variable(f, last) for f in gb.elements]
-    return list(_complete_basis(stripped, opts=opts).elements)
+    return gb.elements, _complete_basis(stripped, opts=opts).elements
 
 
 def ideal_quotient(gens, f: Polynomial, opts: BuchbergerOptions | None = None):
@@ -282,8 +283,12 @@ def hilbert_function(ideal, d_max: int, opts: BuchbergerOptions | None = None) -
                 raise ValueError("Hilbert functions need homogeneous input")
         mono = initial_ideal(gens, opts=opts)
 
-    numerator = _series_numerator(tuple(sorted(mono.gens)), {})
-    return _series_values(numerator, mono.ring.nvars, d_max)
+    return _series_values(_numerator(mono), mono.ring.nvars, d_max)
+
+
+def _numerator(mono: MonomialIdeal) -> dict:
+    """Hilbert-series numerator of S/mono over (1-t)^nvars."""
+    return _series_numerator(tuple(sorted(mono.gens)), {})
 
 
 def _series_values(numerator: dict, nvars: int, d_max: int) -> list:
@@ -443,48 +448,56 @@ def generic_change(gens, seed: int = 0) -> tuple:
     raise RuntimeError("could not sample an invertible change of coordinates")
 
 
-# fresh coordinate changes tried before a saturation gives up
+# general linear forms tried before a saturation gives up
 _SATURATION_ATTEMPTS = 3
 
 
 def _generic_saturation(gens, seed: int, opts: BuchbergerOptions | None):
-    """(basis, change): the reduced grevlex basis of (I : m^infinity) in the
-    coordinates of change, for nonzero homogeneous gens.
+    """(basis, change, defect): the reduced grevlex basis of sat I =
+    (I : m^infinity) in the coordinates of change, for nonzero homogeneous
+    gens, and the defect series {d: dim (sat I / I)_d}.
 
-    After a generic change, saturating the last variable removes every
-    component supported on the irrelevant ideal.  A second change must then
-    leave the Hilbert function alone; if not, the coordinates were unlucky
-    and we retry with a fresh seed.
+    sat I = (I : l^infinity) for one general linear form l (Bayer-Stillman),
+    and changing the last variable alone makes l that variable.  For any l,
+    J = (I : l^infinity) contains sat I and is saturated, and two different
+    saturated ideals differ in every large degree.  So J = sat I exactly
+    when (1-t)^n divides N_I - N_J, the difference of the Hilbert-series
+    numerators read off the leads, and the quotient is the defect series.
+    An unlucky form fails the division, and the next seeded form is tried.
     """
-    for attempt in range(_SATURATION_ATTEMPTS):
-        changed, change = generic_change(gens, seed + 7919 * attempt)
-        sat = saturate_variable(changed, opts=opts)
-        changed2, _ = generic_change(sat, seed + 7919 * attempt + 13)
-        sat2 = saturate_variable(changed2, opts=opts)
-        # both are grevlex Groebner bases, so their leads carry the Hilbert
-        # functions (Macaulay's theorem) without another completion
-        d_max = max(f.total_degree() for f in sat) + 2
-        h1 = hilbert_function(_lead_ideal(sat), d_max)
-        h2 = hilbert_function(_lead_ideal(sat2), d_max)
-        if h1 == h2:
-            return sat, change
-    raise RuntimeError("saturation did not stabilize; field may be too small")
+    ring, nvars = gens[0].ring, gens[0].ring.nvars
+    rng = random.Random(seed)
+    for _ in range(_SATURATION_ATTEMPTS):
+        coeffs = [ring.field.random_scalar(rng) for _ in range(nvars - 1)]
+        change = last_variable_change(ring, nvars, coeffs)
+        basis, sat = _saturate_last([change.apply(g) for g in gens], opts)
+        n_i, n_j = (_numerator(_lead_ideal(b)) for b in (basis, sat))
+        diff = {d: n_i.get(d, 0) - n_j.get(d, 0) for d in n_i | n_j}
+        # the series of diff / (1-t)^n through the top degree of diff: the
+        # division is exact when its last n coefficients vanish, since the
+        # recurrence (1-t)^n sets every later one from the n before it
+        series = _series_values(diff, nvars, max(diff, default=-1))
+        if not any(series[-nvars:]):
+            return list(sat), change, {d: c for d, c in enumerate(series) if c}
+    raise RuntimeError("no general linear form found; the field may be too small")
 
 
 def saturation(gens, seed: int = 0, opts: BuchbergerOptions | None = None):
     """Full saturation (I : m^infinity), as the reduced basis in the
     original coordinates.
 
-    The saturation is computed in generic coordinates (see
-    _generic_saturation), carried back through the inverse change and
-    completed once more.
+    The saturation is (I : l^infinity) for a seeded general linear form l,
+    proved exact by its Hilbert polynomial (see _generic_saturation); its
+    basis is carried back through the inverse change and completed once
+    more, three completions in all.  RuntimeError means no drawn form
+    passed, which only a small field makes likely.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
     if not all(g.is_homogeneous() for g in gens):
         raise ValueError("saturation by the irrelevant ideal needs homogeneous input")
-    sat, change = _generic_saturation(gens, seed, opts)
+    sat, change, _ = _generic_saturation(gens, seed, opts)
     return list(_complete_basis([change.unapply(f) for f in sat], opts=opts).elements)
 
 
@@ -503,21 +516,17 @@ class SatDefect:
 def sat_defect(gens, seed: int = 0, opts: BuchbergerOptions | None = None) -> SatDefect:
     """dim_k(sat I / I) with its per-degree breakdown.
 
-    The defect lives below the regularity of I, so both Hilbert functions
-    are compared through that degree; the recorded bound is the closed ball
-    count binom(reg + n, n + 1), which every run also asserts.  The
-    Hilbert function of S/I is read off the Betti table of the minimal
-    resolution that gives the regularity: its series has numerator 1 minus
-    the table's alternating sum over (1-t)^nvars.  The saturation's is read
-    off the leads of its basis in the generic coordinates where it was
-    computed: a linear change of coordinates keeps the Hilbert function, so
-    nothing is carried back.  The zero ideal has no resolution to read a
-    regularity from, so it raises ValueError, as free_resolution does.
+    The breakdown is the quotient of the Hilbert-series division that proves
+    the saturation exact (see _generic_saturation), so the saturation stays
+    in the coordinates where it was computed.  The defect lives below the
+    regularity of I, read off its minimal resolution; the recorded bound is
+    the closed ball count binom(reg + n, n + 1), which every run also
+    asserts.  The zero ideal has no resolution to read a regularity from,
+    so it raises ValueError, as free_resolution does.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise ValueError("nothing to resolve")
-    ring = gens[0].ring
     for g in gens:
         if not g.is_homogeneous():
             raise ValueError("saturation defect needs homogeneous input")
@@ -525,21 +534,10 @@ def sat_defect(gens, seed: int = 0, opts: BuchbergerOptions | None = None) -> Sa
     if any(g.total_degree() == 0 for g in gens):
         return SatDefect(0, {}, 0, 0)
 
-    res = free_resolution(gens, opts)
-    reg = regularity(res)
-    sat, _ = _generic_saturation(gens, seed, opts)
-    cap = max(reg, 0)
-    numerator = {j: -c for j, c in res.betti().alternating_numerator().items()}
-    numerator[0] = numerator.get(0, 0) + 1
-    h_i = _series_values(numerator, ring.nvars, cap)
-    h_sat = hilbert_function(_lead_ideal(sat), cap)
-    by_degree = {}
-    for d in range(cap + 1):
-        diff = h_i[d] - h_sat[d]
-        if diff:
-            by_degree[d] = diff
+    reg = regularity(free_resolution(gens, opts))
+    _, _, by_degree = _generic_saturation(gens, seed, opts)
     total = sum(by_degree.values())
-    n = ring.nvars - 1
+    n = gens[0].ring.nvars - 1
     bound = comb(reg + n, n + 1)
     if total > bound:
         raise AssertionError(

@@ -23,6 +23,7 @@ from .orders import GREVLEX, OrderSpec
 
 __all__ = [
     "Term", "Monomial", "PolynomialRing", "Polynomial", "leading_term", "CoordinateChange",
+    "last_variable_change",
     "mono_mul", "mono_div", "mono_lcm", "mono_divides", "mono_degree", "mono_mask",
 ]
 
@@ -527,3 +528,14 @@ class CoordinateChange:
                         nxt[n] = add(nxt[n], mul(c, a)) if n in nxt else mul(c, a)
             img = table[mono] = {m: c for m, c in nxt.items() if c != 0}
         return img
+
+
+def last_variable_change(ring, k: int, coeffs) -> CoordinateChange:
+    """x_{k-1} -> x_{k-1} + sum_i coeffs[i] x_i, the identity elsewhere; its
+    inverse subtracts the same combination."""
+    n, field = ring.nvars, ring.field
+    matrix = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    inverse = [list(row) for row in matrix]
+    matrix[k - 1][:k - 1] = coeffs
+    inverse[k - 1][:k - 1] = [field.neg(a) for a in coeffs]
+    return CoordinateChange(ring, matrix, inverse)

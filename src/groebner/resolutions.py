@@ -27,7 +27,7 @@ from .modules import (
     syzygy_generators,
 )
 from .oracle import Echelon, monomials_of_degree
-from .poly import CoordinateChange, Polynomial, mono_degree, mono_mul
+from .poly import Polynomial, last_variable_change, mono_degree, mono_mul
 
 __all__ = [
     "FreeResolution", "BettiTable", "free_resolution", "regularity",
@@ -184,17 +184,6 @@ def regularity(res: FreeResolution) -> int:
 # randomized regularity test
 # ---------------------------------------------------------------------------
 
-def _last_variable_change(ring, k: int, coeffs) -> CoordinateChange:
-    """x_{k-1} -> x_{k-1} + sum_i coeffs[i] x_i, the identity elsewhere; its
-    inverse subtracts the same combination."""
-    n, field = ring.nvars, ring.field
-    matrix = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    inverse = [list(row) for row in matrix]
-    matrix[k - 1][:k - 1] = coeffs
-    inverse[k - 1][:k - 1] = [field.neg(a) for a in coeffs]
-    return CoordinateChange(ring, matrix, inverse)
-
-
 def _section_dims(ring, gens, k: int, d: int) -> tuple:
     """(dim (S/I)_d, dim (S/(I, x_{k-1}))_d) for S the ring of the first k
     variables and I generated by gens, which lie in S.  One echelon holds the
@@ -260,7 +249,7 @@ def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0) -> str:
         section = min_gens
         for k in range(ring.nvars, 0, -1):
             coeffs = [field.random_scalar(rng) for _ in range(k - 1)]
-            change = _last_variable_change(ring, k, coeffs)
+            change = last_variable_change(ring, k, coeffs)
             section = [change.apply(g) for g in section]
             h_m, _ = _section_dims(ring, section, k, m)
             if h_m == 0:

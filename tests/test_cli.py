@@ -2,13 +2,14 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from groebner import GF, LEX, QQ
+from groebner import GF, LEX, QQ, buchberger, ideal_quotient
 from groebner.cli import main
 from groebner.parser import (
     ParseError,
@@ -285,6 +286,25 @@ def test_mayr_meyer_emits_parseable_file(capsys):
     ideal = parse_ideal_file(out)
     assert ideal.ring.nvars == 11
     assert len(ideal.generators) == 4
+
+
+def test_satdefect_on_the_level_one_tower(tmp_path, capsys):
+    assert main(["mayr-meyer", "-n", "1", "--homogeneous"]) == 0
+    f = tmp_path / "tower1.id"
+    f.write_text(capsys.readouterr().out)
+    rc = main(["satdefect", str(f)])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "defect: 0 (regularity 11, bound 352716)"
+    # independently of any saturation: a dense linear form l has (I : l) = I,
+    # so l is a nonzerodivisor on S/I, m is not associated and I is saturated
+    ideal = parse_ideal_file(f.read_text())
+    ring, gens = ideal.ring, ideal.generators
+    rng = random.Random(1)
+    form = ring.polynomial(
+        (ring.field.random_scalar(rng), tuple(int(i == j) for j in range(ring.nvars)))
+        for i in range(ring.nvars)
+    )
+    assert ideal_quotient(gens, form) == list(buchberger(gens).elements)
 
 
 def test_saturate_quotient_inideal_commands(tmp_path, capsys):

@@ -496,9 +496,17 @@ def test_coordinate_change_shares_its_tables(field):
 
 
 def test_sat_defect_stays_in_generic_coordinates(monkeypatch):
-    from groebner import free_resolution
+    from groebner import free_resolution, oracle
     from groebner.ideals import CoordinateChange
 
+    ideals_module = sys.modules["groebner.ideals"]
+
+    def no_dense_change(*args, **kwargs):
+        raise AssertionError("a dense coordinate change was drawn")
+
+    # one general linear form needs no dense change and no inverse matrix
+    monkeypatch.setattr(ideals_module, "generic_change", no_dense_change)
+    monkeypatch.setattr(oracle, "invert_matrix", no_dense_change)
     _, gens = random_ideal(1502, 4, 3, 2)
     x = gens[0].ring.variables()
     gens = [g * v for g in gens for v in x[:2]]
@@ -507,9 +515,9 @@ def test_sat_defect_stays_in_generic_coordinates(monkeypatch):
     reference = len(calls)
     saturation(gens, seed=5)
     saturation_calls = len(calls) - reference
-    # a stable first attempt: two variable saturations of two completions
-    # each, then one completion in the original coordinates
-    assert saturation_calls == 5
+    # a general first form: one variable saturation of two completions,
+    # then one completion in the original coordinates
+    assert saturation_calls == 3
 
     def no_unapply(self, f):
         raise AssertionError("sat_defect carried the saturation back")
@@ -519,6 +527,25 @@ def test_sat_defect_stays_in_generic_coordinates(monkeypatch):
     sd = sat_defect(gens, seed=5)
     assert sd.total > 0
     assert len(calls) == reference + saturation_calls - 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_saturation_over_a_small_field_never_returns_another_ideal(p):
+    # (xz, yz) = (z) cap (x, y) is saturated; the forms in (z) saturate it
+    # to (x, y), and over a small field they are drawn often
+    R = PolynomialRing(GF(p), ["x", "y", "z"], GREVLEX)
+    x, y, z = R.variables()
+    gens = [x * z, y * z]
+    reduced = list(buchberger(gens).elements)
+    for seed in range(40):
+        try:
+            sat = saturation(gens, seed=seed)
+        except RuntimeError as err:
+            assert "no general linear form" in str(err)
+            assert "field may be too small" in str(err)
+            continue
+        assert sat == reduced
+        assert sat_defect(gens, seed=seed).total == 0
 
 
 @pytest.mark.parametrize("seed,n_vars,n_gens,degree", [
