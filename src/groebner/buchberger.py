@@ -66,12 +66,6 @@ class GroebnerBasis:
     def max_degree(self) -> int:
         return max(f.total_degree() for f in self.elements)
 
-    def expand_transform_row(self, i: int) -> Polynomial:
-        acc = self.ring.zero()
-        for coeff, gen in zip(self.transform[i], self.generators):
-            acc = acc + coeff * gen
-        return acc
-
 
 def buchberger(gens, order: OrderSpec | None = None, opts: BuchbergerOptions | None = None,
                **kwargs) -> GroebnerBasis:

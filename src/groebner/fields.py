@@ -9,9 +9,12 @@ list of coefficients as one rational scale num/den times coprime integers,
 and ``cancel`` gives the integer multipliers of a reduction step, so
 ``modules.module_divide`` runs its steps, and ``Polynomial.submul`` its
 merges, in integer arithmetic; only the quotient coefficients and the
-remainder terms become Fractions.  A prime field reduces on its residues
-as they are.  Every coefficient a caller sees is still a Fraction over QQ,
-and everything stays exact.
+remainder terms become Fractions.  The row product ``modules._combine``
+(transform rows, certificates, syzygy push-through) takes its factors in
+the same integer forms and sums each output column over one common
+denominator, so each output term is one Fraction.  A prime field reduces
+and multiplies its residues as they are.  Every coefficient a caller sees
+is still a Fraction over QQ, and everything stays exact.
 """
 
 from __future__ import annotations

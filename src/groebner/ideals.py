@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from math import comb
+from math import ceil, comb, log2
 
 from .buchberger import BuchbergerOptions, GroebnerBasis, buchberger
 from .division import divide
@@ -448,8 +448,21 @@ def generic_change(gens, seed: int = 0) -> tuple:
     raise RuntimeError("could not sample an invertible change of coordinates")
 
 
-# general linear forms tried before a saturation gives up
-_SATURATION_ATTEMPTS = 3
+def _saturation_forms(field, k, seed):
+    """The coefficients c of the forms x_k + sum_{i<k} c_i x_i that
+    _generic_saturation tries, the first drawn from the seed.  A drawn form
+    falls in a given proper subspace with probability at most 1/q over F_q,
+    so max(3, ceil(64 / log2 q)) are drawn (three over QQ); when F_q has no
+    more forms than that, all q^k are tried, counting up from the seeded
+    one in base q."""
+    rng = random.Random(seed)
+    q = field.modulus
+    draws = 3 if q is None else max(3, ceil(64 / log2(q)))
+    forms = [[field.random_scalar(rng) for _ in range(k)] for _ in range(draws)]
+    if q is not None and q ** k <= draws:
+        start = sum(c * q ** i for i, c in enumerate(forms[0]))
+        return [[n % q ** k // q ** i % q for i in range(k)] for n in range(start, start + q ** k)]
+    return forms
 
 
 def _generic_saturation(gens, seed: int, opts: BuchbergerOptions | None):
@@ -466,9 +479,7 @@ def _generic_saturation(gens, seed: int, opts: BuchbergerOptions | None):
     An unlucky form fails the division, and the next seeded form is tried.
     """
     ring, nvars = gens[0].ring, gens[0].ring.nvars
-    rng = random.Random(seed)
-    for _ in range(_SATURATION_ATTEMPTS):
-        coeffs = [ring.field.random_scalar(rng) for _ in range(nvars - 1)]
+    for coeffs in _saturation_forms(ring.field, nvars - 1, seed):
         change = last_variable_change(ring, nvars, coeffs)
         basis, sat = _saturate_last([change.apply(g) for g in gens], opts)
         n_i, n_j = (_numerator(_lead_ideal(b)) for b in (basis, sat))
@@ -489,8 +500,9 @@ def saturation(gens, seed: int = 0, opts: BuchbergerOptions | None = None):
     The saturation is (I : l^infinity) for a seeded general linear form l,
     proved exact by its Hilbert polynomial (see _generic_saturation); its
     basis is carried back through the inverse change and completed once
-    more, three completions in all.  RuntimeError means no drawn form
-    passed, which only a small field makes likely.
+    more, three completions in all.  RuntimeError means no tried form
+    passed (see _saturation_forms): over a small field that happens when
+    every form it has is a zero divisor.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:

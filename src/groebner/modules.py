@@ -10,7 +10,9 @@ One S-pair lift, ``_lift_spair``, serves the completion, the Groebner check
 and the Schreyer syzygies: it divides the S-element of a pair through the
 list once and returns the remainder with the coefficient vector writing it
 over the list.  One product, ``_combine``, multiplies such vectors into
-transform rows.
+transform rows, membership certificates and pushed-through syzygies; like
+the division, it works on integer forms and makes one rational per output
+term, so the rows are exact in either field.
 
 Module monomials are pairs (monomial, component).  An order on them must be
 multiplicative; the three implementations here are position-over-term,
@@ -26,6 +28,7 @@ import time
 from dataclasses import dataclass
 from itertools import groupby, islice
 from math import gcd
+from operator import add
 from typing import NamedTuple
 
 from .oracle import Echelon
@@ -672,24 +675,30 @@ def _replay(ring, width, history, reduction):
     """Transform rows from a completion's records.  history holds one
     (scale, source) per appended element: the inverse lead coefficient it
     was scaled by (None for none), and a generator index or the nonzero
-    (index, coefficient) pairs over the earlier elements.  reduction, from
+    (index, coefficient) pairs over the earlier elements; the scale goes
+    into the coefficients, so each row is one _combine.  reduction, from
     _interreduce, holds the kept positions, each kept element's nonzero
-    (position, quotient) pairs over the other kept ones, and their order."""
+    (position, quotient) pairs over the other kept ones, and their order;
+    a reduced row is row - sum q * rows[k], one _combine with coefficient
+    one on the row itself."""
+    one, zero = ring.field.one, ring.zero()
     rows = []
     for scale, source in history:
+        scale = one if scale is None else scale
         if isinstance(source, int):
-            row = tuple(ring.one() if k == source else ring.zero() for k in range(width))
+            row = tuple(ring.constant(scale) if k == source else zero for k in range(width))
         else:
-            row = _combine(ring, [c for _, c in source], [rows[k] for k, _ in source], width)
-        if scale is not None:
-            row = tuple(p.scalar_mul(scale) for p in row)
+            coeffs = [c.scalar_mul(scale) for _, c in source]
+            row = _combine(ring, coeffs, [rows[k] for k, _ in source], width)
         rows.append(row)
     kept, quotients, order = reduction
     rows = [rows[i] for i in kept]
-    reduced = []
-    for row, pairs in zip(rows, quotients):
-        pulled = _combine(ring, [q for _, q in pairs], [rows[k] for k, _ in pairs], width)
-        reduced.append(tuple(r - c for r, c in zip(row, pulled)))
+    unit = ring.one()
+    reduced = [
+        _combine(ring, [unit] + [-q for _, q in pairs], [row] + [rows[k] for k, _ in pairs], width)
+        if pairs else row
+        for row, pairs in zip(rows, quotients)
+    ]
     return [reduced[pos] for pos in order]
 
 
@@ -757,7 +766,9 @@ def _lift_spair(elements, leads, i, j, opts=None):
     terms c_i x^u at i and -c_j x^v at j minus the quotients.  With a zero
     remainder, coeffs is the syzygy that Schreyer's construction attaches
     to the pair; in the completion it is the new element's transform row
-    over the basis.  A zero S-element is not divided.
+    over the basis.  Each component of the S-element is one merge,
+    c_i x^u f_i - c_j x^v f_j by Polynomial.submul; a zero S-element is
+    not divided.
     """
     li, lj = leads[i], leads[j]
     ring = elements[i].module.ring
@@ -765,7 +776,10 @@ def _lift_spair(elements, leads, i, j, opts=None):
     lcm = mono_lcm(li.monomial, lj.monomial)
     u, v = mono_div(lcm, li.monomial), mono_div(lcm, lj.monomial)
     ci, cj = field.inv(li.coeff), field.inv(lj.coeff)
-    s = elements[i].monomial_mul(ci, u) - elements[j].monomial_mul(cj, v)
+    s = ModuleElement(elements[i].module, tuple(
+        pi.monomial_mul(ci, u).submul(cj, v, pj)
+        for pi, pj in zip(elements[i].comps, elements[j].comps)
+    ))
     if s.is_zero:
         rem, coeffs = s, [ring.zero()] * len(elements)
     else:
@@ -776,17 +790,63 @@ def _lift_spair(elements, leads, i, j, opts=None):
     return rem, tuple(coeffs)
 
 
+def _integer_terms(p):
+    """(num, den, terms) with p = num/den * sum of the (integer, monomial)
+    terms, the form _combine multiplies (fields.Field.integer_form); over
+    a prime field, p's own terms under scale one."""
+    if not p.terms:
+        return 1, 1, ()
+    form = p.ring.field.integer_form(c for c, _ in p.terms)
+    if form is None:
+        return 1, 1, p.terms
+    return form[0], form[1], list(zip(form[2], [m for _, m in p.terms]))
+
+
 def _combine(ring, coeffs, rows, width):
     """The row vector coeffs times the matrix rows: a width-tuple whose
-    entry col is sum_k coeffs[k] * rows[k][col]."""
-    out = [ring.zero()] * width
+    entry col is sum_k coeffs[k] * rows[k][col], exact over either field.
+
+    Factors are taken in integer form (_integer_terms); a row entry may
+    come converted, for callers that push many vectors through one row
+    set.  Each column sums integer products into one {monomial: int}
+    accumulator under one denominator D, raised to the lcm (and the
+    accumulator multiplied up) when a product's scale brings a new one.
+    Each column is sorted once by the ring's cached key, and each
+    coefficient is one field.div(v, D), zeros dropped.
+    """
+    accs = [{} for _ in range(width)]
+    dens = [1] * width
     for c, row in zip(coeffs, rows):
-        if c.is_zero:
+        if not c.terms:
             continue
+        cn, cd, cterms = _integer_terms(c)
         for col, t in enumerate(row):
-            if not t.is_zero:
-                out[col] = out[col] + c * t
-    return tuple(out)
+            tn, td, tterms = t if type(t) is tuple else _integer_terms(t)
+            if not tterms:
+                continue
+            h = gcd(cn * tn, cd * td)
+            num, den = cn * tn // h, cd * td // h
+            acc, d = accs[col], dens[col]
+            if d % den:
+                up = den // gcd(d, den)
+                for m in acc:
+                    acc[m] *= up
+                d = dens[col] = d * up
+            num *= d // den
+            get = acc.get
+            for a, ma in cterms:
+                a *= num
+                for b, mb in tterms:
+                    m = tuple(map(add, ma, mb))
+                    acc[m] = get(m, 0) + a * b
+
+    fdiv, key, new = ring.field.div, ring._key, tuple.__new__
+    return tuple(
+        Polynomial(ring, tuple([
+            new(Term, (c, m)) for m in sorted(acc, key=key, reverse=True) if (c := fdiv(acc[m], d))
+        ]))
+        for acc, d in zip(accs, dens)
+    )
 
 
 def is_module_groebner(elements) -> bool:
@@ -875,19 +935,21 @@ def syzygy_generators(elements, opts: BuchbergerOptions | None = None,
     syz = _syzygies_of_basis(felems, pair_subset=pairs, opts=opts)
     if syz is None:
         raise AssertionError("a completed basis failed its own Groebner check")
+    rows = [tuple(map(_integer_terms, row)) for row in rows]  # converted once for all pushes
     out = []
     for s in syz:
         pushed = target.element(_combine(ring, s.comps, rows, target.rank))
         if not pushed.is_zero:
             out.append(pushed)
 
+    one, zero = ring.one(), ring.zero()
     for a, g in enumerate(elements):
         div = module_divide(g, felems, opts)
         if not div.remainder.is_zero:
             raise AssertionError("generator failed to divide through its own basis")
-        comps = [-c for c in _combine(ring, div.quotients, rows, target.rank)]
-        comps[a] = comps[a] + ring.one()
-        elem = target.element(comps)
+        unit = tuple(one if k == a else zero for k in range(target.rank))
+        coeffs = [one] + [-q for q in div.quotients]
+        elem = target.element(_combine(ring, coeffs, [unit, *rows], target.rank))
         if not elem.is_zero:
             out.append(elem)
     return out

@@ -92,8 +92,11 @@ def test_transform_expands_exactly(cubic_lex):
     for gens in (cubic_lex[1], random_ideal(1003, 4, 5, 2)[1]):
         for opts in ({}, {"degree_cap": 2}):
             gb = buchberger(gens, **opts)
-            for i in range(len(gb)):
-                assert gb.expand_transform_row(i) == gb.elements[i]
+            for row, elem in zip(gb.transform, gb.elements):
+                acc = gb.ring.zero()
+                for coeff, gen in zip(row, gb.generators):
+                    acc = acc + coeff * gen
+                assert acc == elem
 
 
 def test_transform_rows_are_built_on_first_read(monkeypatch, cubic_lex):

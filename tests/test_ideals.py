@@ -548,6 +548,28 @@ def test_saturation_over_a_small_field_never_returns_another_ideal(p):
         assert sat_defect(gens, seed=seed).total == 0
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_saturation_over_a_small_field_tries_every_form(p):
+    # only z + 0x + 0y of the q^2 forms is bad, and a small field's forms
+    # are all tried; three draws over GF(2) from seed 15 all drew it
+    R = PolynomialRing(GF(p), ["x", "y", "z"], GREVLEX)
+    x, y, z = R.variables()
+    gens = [x * z, y * z]
+    reduced = list(buchberger(gens).elements)
+    for seed in range(60):
+        assert saturation(gens, seed=seed) == reduced
+
+
+def test_saturation_refuses_when_every_form_is_a_zero_divisor():
+    # I = f (x, y) with f = xy(x + y): sat I = (f), and the forms y and
+    # x + y that F_2 offers both divide f, so no form proves a saturation
+    R = PolynomialRing(GF(2), ["x", "y"], GREVLEX)
+    x, y = R.variables()
+    f = x * y * (x + y)
+    with pytest.raises(RuntimeError, match="no general linear form"):
+        saturation([f * x, f * y])
+
+
 @pytest.mark.parametrize("seed,n_vars,n_gens,degree", [
     (1500, 3, 2, 2), (1501, 3, 3, 2), (1502, 4, 3, 2), (1503, 3, 2, 3), (1504, 4, 2, 2),
 ])

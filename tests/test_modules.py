@@ -1,6 +1,11 @@
-"""Module bases, Schreyer syzygies, and minimal generators."""
+"""Module bases, Schreyer syzygies, minimal generators, and the row
+product."""
+
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groebner import (
     GF,
@@ -287,3 +292,60 @@ def test_minimalize_generators_reaches_only_the_shared_columns(monkeypatch):
     monkeypatch.setattr(oracle.Echelon, "add", counting)
     assert minimalize_generators(items) == items[:2]
     assert len(adds) <= 10
+
+
+# ---------------------------------------------------------------------------
+# the row product
+# ---------------------------------------------------------------------------
+
+PRODUCT_FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7)]
+
+
+@st.composite
+def row_products(draw):
+    """(ring, coeffs, rows, width) for _combine.  Over QQ the coefficients
+    have mixed denominators and signs; entries and coefficients may be
+    zero.  With cancel, the first coefficient comes back negated on a copy
+    of its row, so every column sums to zero, which over F_p is an integer
+    sum p * (...) that only the residue finish sees as zero."""
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+    ring = PolynomialRing(field, ["x", "y"], GREVLEX)
+    width = draw(st.integers(1, 3))
+    if field == QQ:
+        scalar = st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 2, 3, 4, 6, 9]))
+    else:
+        scalar = st.integers(-2 * field.modulus, 2 * field.modulus)
+    monomial = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+    def poly():
+        return ring.polynomial(draw(st.lists(st.tuples(scalar, monomial), max_size=4)))
+
+    k = draw(st.integers(1, 3))
+    coeffs = [poly() for _ in range(k)]
+    rows = [tuple(poly() for _ in range(width)) for _ in range(k)]
+    if draw(st.booleans()):
+        coeffs.append(-coeffs[0])
+        rows.append(rows[0])
+    return ring, coeffs, rows, width
+
+
+@given(row_products())
+@settings(max_examples=150, deadline=None)
+def test_row_product_is_the_naive_sum(case):
+    ring, coeffs, rows, width = case
+    naive = [ring.zero()] * width
+    for c, row in zip(coeffs, rows):
+        for col, t in enumerate(row):
+            naive[col] = naive[col] + c * t
+    out = modules._combine(ring, coeffs, rows, width)
+    assert out == tuple(naive)
+    # rows handed over in integer form, as the syzygy push-through does
+    converted = [tuple(map(modules._integer_terms, row)) for row in rows]
+    assert modules._combine(ring, coeffs, converted, width) == out
+    p = ring.field.modulus
+    for col in out:
+        for c, _ in col.terms:
+            if p is None:
+                assert type(c) is Fraction
+            else:
+                assert type(c) is int and 0 <= c < p
