@@ -2,10 +2,11 @@
 """Randomized regularity study.
 
 For a batch of seeded random ideals (after a generic change of coordinates)
-compare four quantities per instance:
+compare five quantities per instance:
 
   d        largest minimal-generator degree
   reg      regularity from the minimal resolution
+  sat-reg  regularity that sat_defect reports, read off the saturation
   grevlex  top degree of the reduced grevlex basis
   lex      top degree of the reduced lex basis
 
@@ -31,6 +32,7 @@ from groebner import (
     minimalize_generators,
     random_ideal,
     regularity,
+    sat_defect,
 )
 from groebner.ideals import generic_change
 
@@ -41,7 +43,7 @@ def main():
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    print(f"{'seed':>6} {'vars':>5} {'gens':>5} {'d':>3} {'reg':>4} "
+    print(f"{'seed':>6} {'vars':>5} {'gens':>5} {'d':>3} {'reg':>4} {'sat-reg':>8} "
           f"{'grevlex':>8} {'lex':>5} {'bs-check':>9}")
     for k in range(args.count):
         seed = args.seed + k
@@ -53,11 +55,12 @@ def main():
 
         d = max(g.total_degree() for g in minimalize_generators(changed))
         reg = regularity(free_resolution(changed))
+        sat_reg = sat_defect(changed, seed=seed).regularity
         grev_top = buchberger(changed).max_degree()
         lex_top = buchberger(changed, order=LEX).max_degree()
         bs = bayer_stillman_test(changed, reg, seed=seed)
         flag = "ok" if bs == REGULAR else bs
-        print(f"{seed:>6} {n_vars:>5} {n_gens:>5} {d:>3} {reg:>4} "
+        print(f"{seed:>6} {n_vars:>5} {n_gens:>5} {d:>3} {reg:>4} {sat_reg:>8} "
               f"{grev_top:>8} {lex_top:>5} {flag:>9}")
 
 

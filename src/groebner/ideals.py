@@ -466,9 +466,10 @@ def _saturation_forms(field, k, seed):
 
 
 def _generic_saturation(gens, seed: int, opts: BuchbergerOptions | None):
-    """(basis, change, defect): the reduced grevlex basis of sat I =
-    (I : m^infinity) in the coordinates of change, for nonzero homogeneous
-    gens, and the defect series {d: dim (sat I / I)_d}.
+    """(basis, change, defect, numerator): the reduced grevlex basis of
+    sat I = (I : m^infinity) in the coordinates of change, for nonzero
+    homogeneous gens, the defect series {d: dim (sat I / I)_d}, and N_J,
+    the Hilbert-series numerator of S/sat I over (1-t)^n.
 
     sat I = (I : l^infinity) for one general linear form l (Bayer-Stillman),
     and changing the last variable alone makes l that variable.  For any l,
@@ -489,7 +490,7 @@ def _generic_saturation(gens, seed: int, opts: BuchbergerOptions | None):
         # recurrence (1-t)^n sets every later one from the n before it
         series = _series_values(diff, nvars, max(diff, default=-1))
         if not any(series[-nvars:]):
-            return list(sat), change, {d: c for d, c in enumerate(series) if c}
+            return list(sat), change, {d: c for d, c in enumerate(series) if c}, n_j
     raise RuntimeError("no general linear form found; the field may be too small")
 
 
@@ -509,12 +510,21 @@ def saturation(gens, seed: int = 0, opts: BuchbergerOptions | None = None):
         return []
     if not all(g.is_homogeneous() for g in gens):
         raise ValueError("saturation by the irrelevant ideal needs homogeneous input")
-    sat, change, _ = _generic_saturation(gens, seed, opts)
+    sat, change, _, _ = _generic_saturation(gens, seed, opts)
     return list(_complete_basis([change.unapply(f) for f in sat], opts=opts).elements)
 
 
 @dataclass(frozen=True)
 class SatDefect:
+    """dim_k(sat I / I) and its breakdown {d: dim (sat I / I)_d}, the
+    regularity of I, and the bound binom(reg + n, n + 1) on the total.
+
+    The regularity is exact in each of sat_defect's three cases: read off
+    the defect alone when sat I is the unit ideal, off the Hilbert series
+    of sat I when sat I cuts out finitely many points, and off the minimal
+    resolution of I otherwise (see sat_defect for the proof).
+    """
+
     total: int
     by_degree: dict
     regularity: int
@@ -531,10 +541,25 @@ def sat_defect(gens, seed: int = 0, opts: BuchbergerOptions | None = None) -> Sa
     The breakdown is the quotient of the Hilbert-series division that proves
     the saturation exact (see _generic_saturation), so the saturation stays
     in the coordinates where it was computed.  The defect lives below the
-    regularity of I, read off its minimal resolution; the recorded bound is
-    the closed ball count binom(reg + n, n + 1), which every run also
-    asserts.  The zero ideal has no resolution to read a regularity from,
-    so it raises ValueError, as free_resolution does.
+    regularity of I; the recorded bound is the closed ball count
+    binom(reg + n, n + 1), which every run also asserts.
+
+    The regularity comes from the saturation J = sat I whenever it can.
+    H^0_m(S/I) = J/I, and J/I has finite length, so S/I and S/J share every
+    higher local cohomology: reg I = max(e + 1, reg J), e the top degree of
+    the defect series (Bayer-Stillman 1987; Eisenbud, "The Geometry of
+    Syzygies", ch. 4).  Three cases:
+
+    - J is the unit ideal: S/I has finite length and reg I = e + 1.
+    - (1-t)^(n-1) divides N_J, that is dim S/J <= 1: J = (J : l) for the
+      form l it was saturated by, so l is a nonzerodivisor on S/J and
+      reg S/J = reg S/(J, l).  S/(J, l) has finite length and the series
+      N_J / (1-t)^(n-1), a polynomial of degree reg J - 1.  Divisibility is
+      tested as _generic_saturation tests its division.
+    - otherwise the regularity is read off the minimal resolution of I.
+
+    The zero ideal has no regularity to read, so it raises ValueError, as
+    free_resolution does.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -546,10 +571,17 @@ def sat_defect(gens, seed: int = 0, opts: BuchbergerOptions | None = None) -> Sa
     if any(g.total_degree() == 0 for g in gens):
         return SatDefect(0, {}, 0, 0)
 
-    reg = regularity(free_resolution(gens, opts))
-    _, _, by_degree = _generic_saturation(gens, seed, opts)
-    total = sum(by_degree.values())
+    _, _, by_degree, n_sat = _generic_saturation(gens, seed, opts)
     n = gens[0].ring.nvars - 1
+    reg = max(by_degree, default=-1) + 1
+    # a unit saturation has the numerator 0; otherwise the series of S/(J, l)
+    if n_sat:
+        section = _series_values(n_sat, n, max(n_sat))
+        if any(section[-n:]):
+            reg = regularity(free_resolution(gens, opts))
+        else:
+            reg = max(reg, max(d for d, c in enumerate(section) if c) + 1)
+    total = sum(by_degree.values())
     bound = comb(reg + n, n + 1)
     if total > bound:
         raise AssertionError(

@@ -4,6 +4,7 @@ membership certificates, Borel fixedness and the saturation defect."""
 import random
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from groebner import (
     buchberger,
     eliminate,
     eliminate_order,
+    free_resolution,
     hilbert_function,
     homogenize,
     ideal_quotient,
@@ -26,6 +28,7 @@ from groebner import (
     mayr_meyer,
     membership,
     random_ideal,
+    regularity,
     sat_defect,
     saturate_variable,
     saturation,
@@ -35,6 +38,7 @@ from groebner import (
 from groebner.ideals import SatDefect, dehomogenize_polynomial, generic_change
 from groebner.modules import BuchbergerOptions, CapInterrupted
 from groebner.oracle import ideal_dim_in_degree, membership_in_degree
+from groebner.parser import parse_ideal_file
 
 
 def test_initial_ideal_twisted_cubic(cubic_lex):
@@ -587,6 +591,78 @@ def test_sat_defect_matches_the_public_saturation(seed, n_vars, n_gens, degree):
         assert (sd.by_degree, sd.total, sd.regularity) == (
             by_degree, sum(by_degree.values()), reg
         )
+
+
+# -- the regularity sat_defect reads off the saturation -----------------------
+
+# test_10/11's shapes (n_vars, n_gens, degree), in generic coordinates as there
+# and raw; small shapes over small prime fields and over QQ, raw
+_CROSS_CHECK_SUITES = {
+    "suite": (GF(32003), [(3 + k % 2, 2 + k % 3, 1 + k % 3) for k in range(6)], True),
+    "GF2": (GF(2), [(3, 2, 2), (3, 3, 2), (4, 3, 2)], False),
+    "GF3": (GF(3), [(3, 2, 2), (3, 3, 2), (4, 3, 2)], False),
+    "GF5": (GF(5), [(3, 2, 2), (3, 3, 2), (4, 3, 2)], False),
+    "QQ": (QQ, [(3, 2, 2), (3, 3, 2), (4, 2, 1)], False),
+}
+
+
+def _cross_check_ideals(case):
+    if case == "embedded":
+        text = (Path(__file__).parent / "data" / "embedded.id").read_text()
+        return [parse_ideal_file(text).generators]
+    if case == "twisted-cubic":
+        return [twisted_cubic(field, GREVLEX)[1] for field in (QQ, GF(32003))]
+    if case == "tower":
+        return [mayr_meyer(1, homogeneous=True)[1]]
+    field, shapes, generic = _CROSS_CHECK_SUITES[case]
+    out = []
+    for k, shape in enumerate(shapes):
+        _, gens = random_ideal(6000 + k, *shape, field=field)
+        x = gens[0].ring.variables()
+        # (x0, x1) I has a saturation defect wherever I is saturated; for
+        # 4 cubics in 4 variables it takes seconds to complete, and the
+        # ideal itself is already m-primary
+        products = [[g * v for g in gens for v in x[:2]]] if shape != (4, 4, 3) else []
+        for ideal in [gens, *products]:
+            out.append(ideal)
+            if generic:
+                out.append(generic_change(ideal, seed=k)[0])
+    return out
+
+
+@pytest.mark.parametrize("case", [*_CROSS_CHECK_SUITES, "embedded", "twisted-cubic", "tower"])
+def test_sat_defect_regularity_is_the_resolutions(case):
+    for k, gens in enumerate(_cross_check_ideals(case)):
+        assert sat_defect(gens, seed=k).regularity == regularity(free_resolution(gens)), k
+
+
+class _Resolved(Exception):
+    pass
+
+
+def test_sat_defect_resolves_only_when_the_saturation_is_not_points(monkeypatch):
+    def no_resolution(*args, **kwargs):
+        raise _Resolved
+
+    monkeypatch.setattr(sys.modules["groebner.ideals"], "free_resolution", no_resolution)
+    calls = _count_engine_calls(monkeypatch)
+    # 4 cubics in 4 variables are m-primary, sat I = S; 3 quadrics cut out
+    # 8 points and are saturated.  Complete intersections: reg I = 1 + sum
+    # (d_i - 1), and the m-primary defect is all of S/I, 3^4 = 81
+    for shape, total, reg in [((4, 4, 3), 81, 9), ((4, 3, 2), 0, 4)]:
+        _, gens = random_ideal(1600, *shape)
+        calls.clear()
+        sd = sat_defect(gens, seed=5)
+        assert (sd.total, sd.regularity) == (total, reg)
+        # the two completions of _saturate_last for the seeded form, no more
+        assert len(calls) == 2
+    # the twisted cubic, a curve, and (x0, x1) G, whose saturation cuts out a
+    # line and points, still resolve
+    _, gens = random_ideal(1502, 4, 3, 2)
+    x = gens[0].ring.variables()
+    for ideal in (twisted_cubic(GF(32003), GREVLEX)[1], [g * v for g in gens for v in x[:2]]):
+        with pytest.raises(_Resolved):
+            sat_defect(ideal, seed=5)
 
 
 # -- edge cases of membership and homogenization ------------------------------

@@ -21,9 +21,13 @@ def _run(name, *args):
 def test_regularity_experiment_checks_pass():
     # the last column is the randomized test at the resolution's regularity
     lines = _run("regularity_experiment.py", "--count", "4").splitlines()
-    assert lines[0].split()[-1] == "bs-check"
-    cells = [line.split()[-1] for line in lines[1:]]
-    assert cells == ["ok"] * 4
+    header = lines[0].split()
+    assert header[-1] == "bs-check"
+    rows = [line.split() for line in lines[1:]]
+    assert [row[-1] for row in rows] == ["ok"] * 4
+    # sat_defect's regularity, read off the saturation, is the resolution's
+    reg, sat_reg = header.index("reg"), header.index("sat-reg")
+    assert all(row[reg] == row[sat_reg] for row in rows)
 
 
 @pytest.mark.parametrize("name", ["twisted_cubic_walkthrough.py", "worst_case_probe.py"])
