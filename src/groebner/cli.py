@@ -5,7 +5,9 @@ reads beyond ``--order``, ``--field`` and ``--json``, and a compute function
 ``(ideal, args, opts) -> Output``.  One runner, ``_run``, parses the file,
 builds the options from ``--degree-cap``, times the compute function and
 prints the text lines or the JSON {order, field, generators, result,
-timings}.  Exit codes: 0 success, 2 degree-cap abort, 1 any other error.
+timings}.  Every file command refuses the zero ideal (a file with no
+nonzero generator) with one error, before computing anything.  Exit codes:
+0 success, 2 degree-cap abort, 1 any other error.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .division import normal_form
 from .families import mayr_meyer
 from .fields import Field, GF
 from .ideals import (
-    MonomialIdeal,
     _complete_basis,
     eliminate,
     hilbert_function,
@@ -120,9 +121,7 @@ def _quotient(ideal, args, opts):
 
 
 def _hilbert(ideal, args, opts):
-    gens = [g for g in ideal.generators if not g.is_zero]
-    target = gens or MonomialIdeal.from_monomials(ideal.ring, [])
-    values = hilbert_function(target, args.dmax, opts)
+    values = hilbert_function([g for g in ideal.generators if not g.is_zero], args.dmax, opts)
     return Output(values, [",".join(str(v) for v in values)])
 
 
@@ -231,6 +230,8 @@ def _run(args) -> int:
     """Load, compute, print: the body every file command shares."""
     text = sys.stdin.read() if args.file == "-" else Path(args.file).read_text(encoding="utf-8")
     ideal = parse_ideal_file(text, order=args.order, field_override=args.field)
+    if all(g.is_zero for g in ideal.generators):
+        raise ValueError("the zero ideal: the file has no nonzero generator")
     opts = BuchbergerOptions(degree_cap=getattr(args, "degree_cap", None))
     t0 = time.perf_counter()
     out = args.compute(ideal, args, opts)

@@ -9,12 +9,17 @@ list of coefficients as one rational scale num/den times coprime integers,
 and ``cancel`` gives the integer multipliers of a reduction step, so
 ``modules.module_divide`` runs its steps, and ``Polynomial.submul`` its
 merges, in integer arithmetic; only the quotient coefficients and the
-remainder terms become Fractions.  The row product ``modules._combine``
-(transform rows, certificates, syzygy push-through) takes its factors in
-the same integer forms and sums each output column over one common
-denominator, so each output term is one Fraction.  A prime field reduces
-and multiplies its residues as they are.  Every coefficient a caller sees
-is still a Fraction over QQ, and everything stays exact.
+remainder terms become Fractions.  A completion's S-elements are formed
+from the two integer forms with ``cancel`` too, and handed to the division
+in that form.  The row product ``modules._combine`` (transform rows,
+certificates, syzygy push-through) takes its factors in the same integer
+forms and sums each output column over one common denominator, so each
+output term is one Fraction.  A prime field reduces and multiplies its
+residues as they are; the merge reads ``modulus`` and reduces each merged
+term with one ``% p`` instead of calling these methods.  Every coefficient
+a caller sees is still a Fraction over QQ, and everything stays exact.
+(Order keys are the other half of the merge's arithmetic: packed ints,
+additive up to a bound, see ``orders``.)
 """
 
 from __future__ import annotations

@@ -406,10 +406,10 @@ def module_divide(g: ModuleElement, divisors,
                     rd *= a
                     for ci2, fp in enumerate(fcomps):
                         if fp.is_zero and keys[ci2] is not None:
+                            p, start = comps[ci2], starts[ci2]
                             comps[ci2] = Polynomial(ring, tuple([
-                                new(Term, (fmul(a, c), m))
-                                for c, m in comps[ci2].terms[starts[ci2]:]
-                            ]))
+                                new(Term, (fmul(a, c), m)) for c, m in p.terms[start:]
+                            ]), _keys_from(p, start))
                             starts[ci2] = 0
                 c = fdiv(rn * b * sd, rd * sn)
                 quotients[i].append(new(Term, (c, q)))
@@ -418,7 +418,7 @@ def module_divide(g: ModuleElement, divisors,
                         continue
                     p = comps[ci2]
                     if starts[ci2]:
-                        p = Polynomial(ring, p.terms[starts[ci2]:])
+                        p = Polynomial(ring, p.terms[starts[ci2]:], _keys_from(p, starts[ci2]))
                         starts[ci2] = 0
                     updated = comps[ci2] = p.submul(b, q, fp, a)
                     keys[ci2] = None if updated.is_zero else key(updated.lead_monomial, ci2)
@@ -442,6 +442,11 @@ def module_divide(g: ModuleElement, divisors,
     return ModuleDivisionResult(remainder, qpolys, steps)
 
 
+def _keys_from(p, start):
+    """The term keys of p from position start on, when p keeps them."""
+    return None if p._keys is None else p._keys[start:]
+
+
 def _remove_content(ring, rn, rd, comps, starts):
     """Divide the content of integer components, read from their offsets,
     into the scale rn/rd.  Returns (rn, rd, components); the offsets are
@@ -455,7 +460,9 @@ def _remove_content(ring, rn, rd, comps, starts):
     if num == 0:  # nothing left
         return rn, rd, comps
     comps = [
-        Polynomial(ring, tuple([Term(c // num, m) for c, m in islice(p.terms, s, None)]))
+        Polynomial(
+            ring, tuple([Term(c // num, m) for c, m in islice(p.terms, s, None)]), _keys_from(p, s)
+        )
         for p, s in zip(comps, starts)
     ]
     starts[:] = [0] * len(comps)
@@ -766,25 +773,41 @@ def _lift_spair(elements, leads, i, j, opts=None):
     terms c_i x^u at i and -c_j x^v at j minus the quotients.  With a zero
     remainder, coeffs is the syzygy that Schreyer's construction attaches
     to the pair; in the completion it is the new element's transform row
-    over the basis.  Each component of the S-element is one merge,
-    c_i x^u f_i - c_j x^v f_j by Polynomial.submul; a zero S-element is
-    not divided.
+    over the basis.
+
+    The S-element is formed from the two integer forms f~ (with leads t_i,
+    t_j), each component one merge a x^u f~_i - b x^v f~_j by
+    Polynomial.submul with scale a, where a t_i == b t_j == lam: over QQ (a, b) from
+    field.cancel, so the S-element is 1/lam times those integer components,
+    and module_divide starts from that form without building a Fraction;
+    over a prime field a = 1/t_i, b = 1/t_j and lam = 1.  A zero S-element
+    is not divided.
     """
     li, lj = leads[i], leads[j]
-    ring = elements[i].module.ring
-    field = ring.field
+    module = elements[i].module
+    ring, field = module.ring, module.ring.field
     lcm = mono_lcm(li.monomial, lj.monomial)
     u, v = mono_div(lcm, li.monomial), mono_div(lcm, lj.monomial)
-    ci, cj = field.inv(li.coeff), field.inv(lj.coeff)
-    s = ModuleElement(elements[i].module, tuple(
-        pi.monomial_mul(ci, u).submul(cj, v, pj)
-        for pi, pj in zip(elements[i].comps, elements[j].comps)
-    ))
+    _, _, fi, bits_i = elements[i].integer_form()
+    _, _, fj, bits_j = elements[j].integer_form()
+    ti, tj = fi[li.component].terms[0].coeff, fj[lj.component].terms[0].coeff
+    if bits_i is None:  # a prime field
+        a, b, lam, bits = field.inv(ti), field.inv(tj), 1, None
+    else:
+        a, b = field.cancel(ti, tj)
+        lam = a * ti
+        # a bound on the coefficients' bit length, for the content removal
+        bits = max(bits_i + a.bit_length(), bits_j + abs(b).bit_length()) + 1
+    comps = tuple(pi.monomial_mul(1, u).submul(b, v, pj, a) for pi, pj in zip(fi, fj))
+    # module_divide reads only the form; over QQ the components are lam * s
+    s = ModuleElement(module, comps)
+    s._form = (1, lam, comps, bits) if lam > 0 else (-1, -lam, comps, bits)
     if s.is_zero:
         rem, coeffs = s, [ring.zero()] * len(elements)
     else:
         div = module_divide(s, elements, opts)
         rem, coeffs = div.remainder, [-q for q in div.quotients]
+    ci, cj = field.inv(li.coeff), field.inv(lj.coeff)
     coeffs[i] = coeffs[i] + Polynomial(ring, (Term(ci, u),))
     coeffs[j] = coeffs[j] - Polynomial(ring, (Term(cj, v),))
     return rem, tuple(coeffs)

@@ -4,12 +4,17 @@ A polynomial is an immutable tuple of (coeff, monomial) terms kept strictly
 descending under the ring's monomial order.  Monomials are dense exponent
 tuples, one slot per ring variable.
 
-The ring caches, per monomial it has seen, its order key (``_key_cache``)
-and its divisibility mask (``_mask_cache``, see ``mono_mask``); both caches
-live and die with the ring.  ``Polynomial.submul`` is the reduction step
-that every division in the package runs through: one merge of self with
-the scaled product, driven by the product's terms.  ``CoordinateChange``
-maps polynomials through a linear change of the variables and back.
+Order keys are packed ints (``orders``): comparing them as ints compares
+monomials, and they are additive, key(A + B) == key(A) + key(B) - key(0),
+up to a bound past which a monomial is refused rather than misordered.  The
+ring caches, per monomial it has seen, its order key (``_key_cache``) and
+its divisibility mask (``_mask_cache``, see ``mono_mask``); both caches live
+and die with the ring.  A polynomial keeps the keys of its terms once a
+merge has needed them.  ``Polynomial.submul`` is the reduction step that
+every division in the package runs through: one merge of self with the
+scaled product, driven by the product's terms, whose keys are additions.
+``CoordinateChange`` maps polynomials through a linear change of the
+variables and back.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from operator import add, le, sub
 from typing import Iterable, NamedTuple
 
 from .fields import Field
-from .orders import GREVLEX, OrderSpec
+from .orders import GREVLEX, OrderSpec, in_range, packing_error
 
 __all__ = [
     "Term", "Monomial", "PolynomialRing", "Polynomial", "leading_term", "CoordinateChange",
@@ -84,7 +89,8 @@ class PolynomialRing:
     """k[x_0, ..., x_n] with a fixed multiplicative monomial order."""
 
     __slots__ = (
-        "field", "names", "order", "nvars", "_key", "_index", "_key_cache", "_mask_cache",
+        "field", "names", "order", "nvars", "_key", "_offset", "_index", "_key_cache",
+        "_mask_cache",
     )
 
     def __init__(self, field: Field, names, order: OrderSpec = GREVLEX):
@@ -108,6 +114,7 @@ class PolynomialRing:
 
         self._key = cached_key
         self._key_cache = cache
+        self._offset = cached_key((0,) * self.nvars)
         self._mask_cache = {}
         self._index = {n: i for i, n in enumerate(names)}
 
@@ -194,13 +201,25 @@ class PolynomialRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; terms strictly descending in ring order."""
+    """Immutable sparse polynomial; terms strictly descending in ring order.
+    The order keys of its terms are kept once a merge has read them; a
+    caller that knows them may pass them in."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_keys")
 
-    def __init__(self, ring: PolynomialRing, terms: tuple):
+    def __init__(self, ring: PolynomialRing, terms: tuple, keys=None):
         self.ring = ring
         self.terms = terms
+        self._keys = keys
+
+    def term_keys(self) -> list:
+        """The order key of each term, computed on first request and kept."""
+        keys = self._keys
+        if keys is None:
+            cache, key = self.ring._key_cache, self.ring._key
+            # keys are positive ints, so a cache hit is truthy
+            keys = self._keys = [cache.get(m) or key(m) for _, m in self.terms]
+        return keys
 
     # -- basic queries -----------------------------------------------------
     @property
@@ -343,70 +362,74 @@ class Polynomial:
         if coeff == 0:
             return self.ring.zero()
         new = tuple.__new__
+        p = field.modulus
         if coeff == 1:
             terms = [new(Term, (c, mono_mul(m, mono))) for c, m in self.terms]
+        elif p:
+            terms = [new(Term, (coeff * c % p, mono_mul(m, mono))) for c, m in self.terms]
         else:
-            mul = field.mul
-            terms = [new(Term, (mul(coeff, c), mono_mul(m, mono))) for c, m in self.terms]
+            terms = [new(Term, (coeff * c, mono_mul(m, mono))) for c, m in self.terms]
         return Polynomial(self.ring, tuple(terms))
 
     def submul(self, coeff, mono: Monomial, f: "Polynomial", scale=1, /) -> "Polynomial":
         """scale * self - coeff * x^mono * f as a single merge; the
         reduction step.
 
-        The loop is driven by f's terms: each product term's key is read
-        from the ring's cache, self's terms above it are copied through,
-        and -coeff is formed once, so a product term costs one field
-        multiplication (plus one addition where it meets a term of self).
-        A scale other than one multiplies self's terms first: over QQ a
-        division step merges integer forms as a*g - b*x^q*f
-        (fields.Field.cancel), with a as the scale.
+        The loop is driven by f's terms.  A product term's key is f's term
+        key plus key(x^mono) - key(0), from the key lists the operands keep
+        (term_keys); self's terms above it are copied through in one slice
+        with their keys, and the product's monomial is built only when the
+        term is new, after its key is checked against the packing bound
+        (orders.in_range).  -coeff is formed once, so a product term costs
+        one multiplication (plus one addition where it meets a term of
+        self), reduced mod p over a prime field without a field method
+        call.  The result keeps its key list for the next step.  A scale
+        other than one multiplies self's terms first: over QQ a division
+        step merges integer forms as a*g - b*x^q*f (fields.Field.cancel),
+        with a as the scale.
         """
         ring = self.ring
-        field = ring.field
-        fadd, fmul = field.add, field.mul
-        minus = field.neg(coeff)
-        # keys are nonempty tuples, so a cache hit is truthy
-        cache = ring._key_cache
-        key = ring._key
+        p = ring.field.modulus
         new = tuple.__new__  # builds a Term without its constructor's Python frame
         a = self.terms
         if scale != 1:
-            a = [new(Term, (fmul(scale, c), m)) for c, m in a]
-        na = len(a)
-        out = []
-        push = out.append
+            a = [new(Term, (scale * c % p if p else scale * c, m)) for c, m in a]
+        akeys = [*self.term_keys(), -1]  # product keys are >= 0: -1 ends every run
+        off = ring._offset
+        shift = ring._key(mono) - off
+        minus = -coeff % p if p else -coeff
+        out, keys = [], []
+        push, push_key = out.append, keys.append
         i = 0
-        rest = iter(f.terms)
-        if na:
-            ma = a[0].monomial
-            ka = cache.get(ma) or key(ma)
-            for c, m in rest:
+        ka = akeys[0]
+        for (c, m), kb in zip(f.terms, f.term_keys()):
+            kb += shift
+            if ka > kb:
+                j = i + 1
+                while akeys[j] > kb:
+                    j += 1
+                out += a[i:j]
+                keys += akeys[i:j]
+                i = j
+                ka = akeys[i]
+            if ka == kb:
+                s = a[i][0] + minus * c
+                if p:
+                    s %= p
+                if s:
+                    push(new(Term, (s, a[i][1])))
+                    push_key(kb)
+                i += 1
+                ka = akeys[i]
+            else:
                 mb = tuple(map(add, m, mono))
-                kb = cache.get(mb) or key(mb)
-                while ka > kb:
-                    push(a[i])
-                    i += 1
-                    if i == na:
-                        break
-                    ma = a[i].monomial
-                    ka = cache.get(ma) or key(ma)
-                if i < na and ka == kb:
-                    s = fadd(a[i].coeff, fmul(minus, c))
-                    if s:
-                        push(new(Term, (s, ma)))
-                    i += 1
-                    if i < na:
-                        ma = a[i].monomial
-                        ka = cache.get(ma) or key(ma)
-                else:
-                    push(new(Term, (fmul(minus, c), mb)))
-                if i == na:
-                    break
-            out.extend(a[i:])
-        for c, m in rest:
-            push(new(Term, (fmul(minus, c), tuple(map(add, m, mono)))))
-        return Polynomial(ring, tuple(out))
+                if not in_range(kb, off):
+                    raise packing_error(ring.order, mb)
+                push(new(Term, (minus * c % p if p else minus * c, mb)))
+                push_key(kb)
+        out += a[i:]
+        keys += akeys[i:-1]
+        return Polynomial(ring, tuple(out), keys)
 
     def monic(self) -> "Polynomial":
         if not self.terms:

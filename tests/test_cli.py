@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from groebner import GF, LEX, QQ, buchberger, ideal_quotient
-from groebner.cli import main
+from groebner.cli import COMMANDS, main
 from groebner.parser import (
     ParseError,
     parse_ideal_file,
@@ -107,35 +107,33 @@ def test_hilbert_command(capsys):
     assert out == "1,4,7,10,13,16,19,22,25,28,31"
 
 
-def test_hilbert_command_zero_ideal(tmp_path, capsys):
-    f = tmp_path / "zero.id"
-    f.write_text("field QQ\nring x y z\n")
-    rc = main(["hilbert", "--dmax", "4", str(f)])
-    out = capsys.readouterr().out.strip()
-    assert rc == 0
-    assert out == "1,3,6,10,15"
+# the flags each file command needs besides the file
+ZERO_IDEAL_FLAGS = {
+    "gb": [], "reduce": ["--poly", "x"], "member": ["--poly", "x"],
+    "eliminate": ["--keep", "y"], "saturate": [], "quotient": ["--poly", "x"],
+    "hilbert": ["--dmax", "4"], "resolve": [], "betti": [], "regularity": [],
+    "inideal": [], "borel": [], "satdefect": [], "degenerate": ["--weights", "1,0"],
+    "bs-regular": ["--m", "2"],
+}
 
 
-def test_zero_ideal_has_nothing_to_resolve(tmp_path, capsys):
+def test_zero_ideal_flags_cover_every_file_command():
+    assert set(ZERO_IDEAL_FLAGS) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(ZERO_IDEAL_FLAGS))
+@pytest.mark.parametrize("body", ["f1 = 0\n", "", "f1 = 0\nf2 = 0\n"],
+                         ids=["zero", "no_generators", "zeros"])
+def test_every_file_command_refuses_the_zero_ideal(command, body, tmp_path, capsys):
+    # one rule: exit 1 with one message, whatever the command would compute
     f = tmp_path / "zero.id"
-    f.write_text("field QQ\nring x y\nf1 = 0\n")
-    for command in ("resolve", "betti", "regularity"):
-        rc = main([command, str(f)])
+    f.write_text("field QQ\nring x y\n" + body)
+    for extra in ([], ["--json"]):
+        rc = main([command, *ZERO_IDEAL_FLAGS[command], *extra, str(f)])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err == "error: nothing to resolve\n"
-
-
-def test_satdefect_of_the_zero_ideal_has_nothing_to_resolve(tmp_path, capsys):
-    # as regularity: no resolution, so no defect below a regularity
-    f = tmp_path / "zero.id"
-    f.write_text("field QQ\nring x y\nf1 = 0\n")
-    rc = main(["satdefect", str(f)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err == "error: nothing to resolve\n"
+        assert captured.err == "error: the zero ideal: the file has no nonzero generator\n"
 
 
 def test_gb_and_reduce_drop_zero_generators(tmp_path, capsys):

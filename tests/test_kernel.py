@@ -1,6 +1,7 @@
-"""The reduction kernel: divisibility masks, the submul merge, the pair
-update against a brute-force reference, cached leads, and deadlines inside
-a division."""
+"""The reduction kernel: packed order keys against a tuple reference,
+divisibility masks, the submul merge and its call shape, the pair update
+against a brute-force reference, cached leads, and deadlines inside a
+division."""
 
 import time
 
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groebner import GF, GREVLEX, LEX, QQ, FreeModule, PolynomialRing, random_ideal
+from groebner import (
+    GF, GREVLEX, LEX, QQ, FreeModule, PolynomialRing, divide, eliminate_order, random_ideal,
+    weight_order,
+)
 from groebner import modules
 from groebner.modules import (
     DEADLINE_STRIDE,
@@ -26,7 +30,115 @@ from groebner.modules import (
     syzygy_generators,
     syzygy_module_for,
 )
-from groebner.poly import MASK_BITS, mono_mask
+from groebner.orders import FIELD_BITS, in_range
+from groebner.poly import MASK_BITS, Polynomial, mono_mask
+
+# ---------------------------------------------------------------------------
+# packed order keys
+# ---------------------------------------------------------------------------
+
+
+def reference_key(order, n):
+    """The orders as nested tuple keys, read off their definitions."""
+    if order.kind == "lex":
+        return tuple
+    if order.kind == "grevlex":
+        return lambda a: (sum(a), tuple(-e for e in reversed(a)))
+    if order.kind == "eliminate":
+        k = order.block
+        return lambda a: (sum(a[:k]), sum(a), tuple(-e for e in reversed(a)))
+    tb = reference_key(order.tiebreak, n)
+    return lambda a: (-sum(w * e for w, e in zip(order.weights, a)), tb(a))
+
+
+@st.composite
+def orders_and_arity(draw):
+    """An order on n variables: lex, grevlex, an elimination order, or a
+    weight order with negative weights under a lex or grevlex tiebreak."""
+    n = draw(st.integers(1, 6))
+    kinds = ["lex", "grevlex", "weight"] + (["eliminate"] if n > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "lex":
+        return LEX, n
+    if kind == "grevlex":
+        return GREVLEX, n
+    if kind == "eliminate":
+        return eliminate_order(draw(st.integers(1, n - 1))), n
+    weights = draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
+    return weight_order(weights, draw(st.sampled_from([LEX, GREVLEX]))), n
+
+
+def exponents(n, top):
+    """Exponent vectors with entries up to top, small ones and the top
+    itself drawn often."""
+    entry = st.one_of(st.integers(0, 3), st.integers(0, top), st.just(top))
+    return st.tuples(*[entry] * n)
+
+
+def _sign(x, y):
+    return (x > y) - (x < y)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_packed_keys_order_as_the_reference(data):
+    # every vector of total degree up to 2^FIELD_BITS has a key
+    order, n = data.draw(orders_and_arity())
+    key, ref = order.key_function(n), reference_key(order, n)
+    a, b = (data.draw(exponents(n, 2**FIELD_BITS // n)) for _ in range(2))
+    assert _sign(key(a), key(b)) == _sign(ref(a), ref(b))
+    assert (key(a) == key(b)) == (a == b)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_keys_are_positive_and_additive_up_to_the_offset(data):
+    order, n = data.draw(orders_and_arity())
+    key = order.key_function(n)
+    a, b = (data.draw(exponents(n, 2**FIELD_BITS // (2 * n))) for _ in range(2))
+    offset = key((0,) * n)
+    assert key(a) > 0 and offset > 0  # a cache hit must be truthy
+    assert key(tuple(x + y for x, y in zip(a, b))) == key(a) + key(b) - offset
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_past_the_bound_keys_are_refused_never_misordered(data):
+    # past the degree that always fits, a key is exact or refused; a sum
+    # of two keys is a key exactly when in_range says so
+    order, n = data.draw(orders_and_arity())
+    key, ref = order.key_function(n), reference_key(order, n)
+    offset = key((0,) * n)
+    a, b = (data.draw(exponents(n, 2 ** (FIELD_BITS + 2))) for _ in range(2))
+    try:
+        ka, kb = key(a), key(b)
+    except ValueError:
+        return
+    assert _sign(ka, kb) == _sign(ref(a), ref(b))
+    total = ka + kb - offset
+    try:
+        expected = key(tuple(x + y for x, y in zip(a, b)))
+    except ValueError as exc:
+        assert "past the packed" in str(exc)
+        assert not in_range(total, offset)
+    else:
+        assert in_range(total, offset) and total == expected
+
+
+@pytest.mark.parametrize("order", [LEX, GREVLEX, eliminate_order(1),
+                                   weight_order([-4, -1, 0]), weight_order([3, -2, 5], LEX)])
+def test_an_exponent_past_the_bound_is_refused(order):
+    ring = PolynomialRing(GF(32003), ["x", "y", "z"], order)
+    near = (2**FIELD_BITS, 0, 0)
+    far = (2 ** (FIELD_BITS + 3), 0, 0)
+    assert ring.monomial_key(near) != ring.monomial_key((0, 0, 0))
+    with pytest.raises(ValueError, match="past the packed"):
+        ring.monomial_key(far)
+    # a product past the bound is refused by the merge too
+    f = ring.monomial(near)
+    with pytest.raises(ValueError, match="past the packed"):
+        ring.zero().submul(1, (2 ** (FIELD_BITS + 3) - 2**FIELD_BITS, 0, 0), f)
+
 
 # ---------------------------------------------------------------------------
 # divisibility masks
@@ -132,6 +244,49 @@ def test_submul_with_empty_operands():
     assert zero.submul(2, (1, 0), f) == -(f.monomial_mul(2, (1, 0)))
     assert f.submul(2, (1, 0), zero) == f
     assert zero.submul(2, (1, 0), zero).is_zero
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_submul_scales_and_passes_on_its_key_list(data):
+    field = data.draw(st.sampled_from([QQ, GF(32003)]))
+    order = data.draw(st.sampled_from([GREVLEX, LEX, weight_order([2, -1, 0])]))
+    ring = PolynomialRing(field, ["x", "y", "z"], order)
+    f, g = _poly(data.draw, ring), _poly(data.draw, ring)
+    coeff = field.normalize(data.draw(st.integers(-7, 7).filter(bool)))
+    scale = field.normalize(data.draw(st.integers(-7, 7).filter(bool)))
+    mono, mono2 = (data.draw(st.tuples(*[st.integers(0, 2)] * 3)) for _ in range(2))
+    out = g.submul(coeff, mono, f, scale)
+    assert out == g.scalar_mul(scale) - f.monomial_mul(coeff, mono)
+    assert out._keys == [ring.monomial_key(m) for _, m in out.terms]
+    # the next step merges against that key list
+    again = out.submul(coeff, mono2, g)
+    assert again == out - g.monomial_mul(coeff, mono2)
+    assert again._keys == [ring.monomial_key(m) for _, m in again.terms]
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ])
+def test_division_steps_call_submul_with_the_divisor_third(field, monkeypatch):
+    # perfbench's tracer replaces Polynomial.submul by name with a wrapper
+    # (poly, *args) that counts len(args[2].terms): each division step must
+    # call it positionally, with (a component of) the divisor third
+    calls = []
+    inner = Polynomial.submul
+
+    def spy(poly, *args):
+        calls.append(args)
+        return inner(poly, *args)
+
+    monkeypatch.setattr(Polynomial, "submul", spy)
+    ring, gens = random_ideal(1005, 3, 3, 2, field=field)
+    x, y, z = ring.variables()
+    g = (x + 2 * y) ** 3 * z + gens[0] * gens[1]
+    div = divide(g, gens)
+    assert len(calls) == sum(len(q.terms) for q in div.quotients) > 0
+    shapes = [[m for _, m in f.terms] for f in gens]
+    for args in calls:
+        assert len(args) == 4 and isinstance(args[2], Polynomial)
+        assert [m for _, m in args[2].terms] in shapes
 
 
 # ---------------------------------------------------------------------------
