@@ -199,7 +199,9 @@ class ModuleElement:
                 it = iter(ints)
                 # zip stops at the end of p.terms without drawing from it
                 comps = tuple(
-                    Polynomial(ring, tuple([new(Term, (c, t[1])) for t, c in zip(p.terms, it)]))
+                    Polynomial(
+                        ring, tuple([new(Term, (c, t[1])) for t, c in zip(p.terms, it)]), p._keys
+                    )
                     for p in self.comps
                 )
                 self._form = (num, den, comps, bits)
@@ -797,7 +799,7 @@ def _lift_spair(elements, leads, i, j, opts=None):
         a, b = field.cancel(ti, tj)
         lam = a * ti
         # a bound on the coefficients' bit length, for the content removal
-        bits = max(bits_i + a.bit_length(), bits_j + abs(b).bit_length()) + 1
+        bits = max(bits_i + a.bit_length(), bits_j + b.bit_length()) + 1
     comps = tuple(pi.monomial_mul(1, u).submul(b, v, pj, a) for pi, pj in zip(fi, fj))
     # module_divide reads only the form; over QQ the components are lam * s
     s = ModuleElement(module, comps)

@@ -61,7 +61,7 @@ class OrderSpec:
             if self.tiebreak is not None and self.tiebreak.kind == "weight":
                 raise ValueError("weight tiebreak must be a plain order")
 
-    def forms(self, nvars: int) -> list:
+    def _forms(self, nvars: int) -> list:
         """The integer linear forms (coefficient tuples) whose values,
         compared lexicographically, order exponent vectors of length nvars.
         They have full rank, so equal values mean equal vectors."""
@@ -83,12 +83,12 @@ class OrderSpec:
         w = self.weights
         if len(w) != nvars:
             raise ValueError(f"weight vector has {len(w)} entries for {nvars} variables")
-        return [tuple(-wi for wi in w)] + (self.tiebreak or GREVLEX).forms(nvars)
+        return [tuple(-wi for wi in w)] + (self.tiebreak or GREVLEX)._forms(nvars)
 
     def key_function(self, nvars: int):
         """Return the packed key callable on exponent vectors of length
         nvars; it raises packing_error for a vector past the bound."""
-        forms = self.forms(nvars)
+        forms = self._forms(nvars)
         bounds = [1 << (FIELD_BITS + max(map(abs, form)).bit_length()) for form in forms]
         offset = shift = 0
         columns = [0] * nvars  # key(a) = offset + sum of a[i] * columns[i]
@@ -108,6 +108,7 @@ class OrderSpec:
             return offset + sum(map(mul, a, columns))
 
         return key
+
     @property
     def is_well_order(self) -> bool:
         """True when every variable exceeds 1, so division chains terminate

@@ -362,13 +362,11 @@ class Polynomial:
         if coeff == 0:
             return self.ring.zero()
         new = tuple.__new__
-        p = field.modulus
         if coeff == 1:
             terms = [new(Term, (c, mono_mul(m, mono))) for c, m in self.terms]
-        elif p:
-            terms = [new(Term, (coeff * c % p, mono_mul(m, mono))) for c, m in self.terms]
         else:
-            terms = [new(Term, (coeff * c, mono_mul(m, mono))) for c, m in self.terms]
+            mul = field.mul
+            terms = [new(Term, (mul(coeff, c), mono_mul(m, mono))) for c, m in self.terms]
         return Polynomial(self.ring, tuple(terms))
 
     def submul(self, coeff, mono: Monomial, f: "Polynomial", scale=1, /) -> "Polynomial":
