@@ -187,7 +187,9 @@ class ModuleElement:
         coefficients, num and den are positive integers and bits is the
         largest coefficient's bit length (fields.Field.integer_form); over
         a prime field the form is (1, 1, self.comps, None).  A basis element
-        is a divisor many times, so its form is built once and kept."""
+        is a divisor many times, so its form is built once and kept.  An
+        S-element comes with its form set (_lift_spair builds it in integer
+        form), and module_divide reads only that."""
         if self._form is None:
             ring = self.module.ring
             form = ring.field.integer_form(t.coeff for p in self.comps for t in p.terms)

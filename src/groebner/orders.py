@@ -98,13 +98,12 @@ class OrderSpec:
             shift += bound.bit_length() + 1  # width = log2(bound) + 2
         checks = list(zip(forms, bounds))
         limit = 1 << FIELD_BITS
-        order = self
 
         def key(a):
             if min(a) < 0 or sum(a) > limit:  # past the degree that always fits
                 for form, bound in checks:
                     if not -bound <= sum(map(mul, form, a)) < bound:
-                        raise packing_error(order, a)
+                        raise packing_error(self, a)
             return offset + sum(map(mul, a, columns))
 
         return key

@@ -122,8 +122,7 @@ def test_zero_ideal_flags_cover_every_file_command():
 
 
 @pytest.mark.parametrize("command", sorted(ZERO_IDEAL_FLAGS))
-@pytest.mark.parametrize("body", ["f1 = 0\n", "", "f1 = 0\nf2 = 0\n"],
-                         ids=["zero", "no_generators", "zeros"])
+@pytest.mark.parametrize("body", ["f1 = 0\n", ""], ids=["zero", "no_generators"])
 def test_every_file_command_refuses_the_zero_ideal(command, body, tmp_path, capsys):
     # one rule: exit 1 with one message, whatever the command would compute
     f = tmp_path / "zero.id"
