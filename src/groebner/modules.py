@@ -781,11 +781,11 @@ def _lift_spair(elements, leads, i, j, opts=None):
 
     The S-element is formed from the two integer forms f~ (with leads t_i,
     t_j), each component one merge a x^u f~_i - b x^v f~_j by
-    Polynomial.submul with scale a, where a t_i == b t_j == lam: over QQ (a, b) from
-    field.cancel, so the S-element is 1/lam times those integer components,
-    and module_divide starts from that form without building a Fraction;
-    over a prime field a = 1/t_i, b = 1/t_j and lam = 1.  A zero S-element
-    is not divided.
+    Polynomial.submul with scale a, where a t_i == b t_j == lam: over QQ
+    (a, b) comes from field.cancel, so the S-element is 1/lam times those
+    integer components, and module_divide starts from that form without
+    building a Fraction; over a prime field a = 1/t_i, b = 1/t_j and
+    lam = 1.  A zero S-element is not divided.
     """
     li, lj = leads[i], leads[j]
     module = elements[i].module

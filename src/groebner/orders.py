@@ -29,6 +29,7 @@ total in degrees where no two monomials share a weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 
 __all__ = [
@@ -85,6 +86,7 @@ class OrderSpec:
             raise ValueError(f"weight vector has {len(w)} entries for {nvars} variables")
         return [tuple(-wi for wi in w)] + (self.tiebreak or GREVLEX)._forms(nvars)
 
+    @lru_cache(maxsize=64)  # rings are made often; the packing is O(nvars^2)
     def key_function(self, nvars: int):
         """Return the packed key callable on exponent vectors of length
         nvars; it raises packing_error for a vector past the bound."""
