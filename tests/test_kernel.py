@@ -134,10 +134,10 @@ def test_an_exponent_past_the_bound_is_refused(order):
     assert ring.monomial_key(near) != ring.monomial_key((0, 0, 0))
     with pytest.raises(ValueError, match="past the packed"):
         ring.monomial_key(far)
-    # a product past the bound is refused by the merge too
+    # two keys within the bound whose sum is not: the merge refuses the product
     f = ring.monomial(near)
     with pytest.raises(ValueError, match="past the packed"):
-        ring.zero().submul(1, (2 ** (FIELD_BITS + 3) - 2**FIELD_BITS, 0, 0), f)
+        ring.zero().submul(1, near, f)
 
 
 # ---------------------------------------------------------------------------
