@@ -889,13 +889,13 @@ def is_module_groebner(elements) -> bool:
 # syzygies
 # ---------------------------------------------------------------------------
 
-def syzygy_module_for(elements, ambient_order: ModuleOrder | None = None) -> FreeModule:
+def syzygy_module_for(elements) -> FreeModule:
     """Free module whose basis maps onto the given elements, carrying the
     Schreyer order they induce."""
     module = elements[0].module
     leads = [e.lead_term() for e in elements]
     shifts = tuple(e.degree() if e.is_homogeneous() else 0 for e in elements)
-    order = SchreyerOrder(leads, ambient_order or module.order)
+    order = SchreyerOrder(leads, module.order)
     return FreeModule(module.ring, shifts, order)
 
 

@@ -3,8 +3,12 @@
 A Macaulay matrix in degree d has one row per monomial multiple of a
 generator landing in degree d and one column per degree-d monomial.  Its
 row space is the degree-d slice of the ideal, so ranks answer dimension and
-membership questions without any Groebner machinery.  Everything here is
-exact Gaussian elimination with first-nonzero pivoting.  The tests use it
+membership questions without any Groebner machinery.  The rows are sparse
+``{column: coeff}`` dicts built from the generators' terms, and the one
+elimination is ``Echelon``: rows fed in one at a time, each reduced at its
+leading column against the pivot rows kept so far.  Its pivots give ranks,
+membership, initial ideals in a degree (columns sorted descending in the
+order) and, with a back-substitution, matrix inverses.  The tests use it
 as ground truth.  The generic-forms regularity test and
 ``modules.minimalize_generators`` grow an ``Echelon`` row by row, since
 they need nothing but ranks and pivot positions.  Stable monomial ideals
@@ -23,7 +27,7 @@ from .poly import Polynomial, PolynomialRing, mono_mul
 __all__ = [
     "MacaulayMatrix", "macaulay_matrix", "monomials_of_degree",
     "ideal_dim_in_degree", "membership_in_degree", "initial_ideal_in_degree",
-    "row_reduce", "Echelon", "rank_of_rows", "invert_matrix",
+    "Echelon", "rank_of_rows", "invert_matrix",
     "eliahou_kervaire_betti",
 ]
 
@@ -57,15 +61,14 @@ class MacaulayMatrix:
     ring: PolynomialRing
     degree: int
     columns: list     # degree-d monomials, descending under the column order
-    rows: list        # coefficient vectors over the field
+    rows: list        # sparse rows {column: coeff}, nonzero entries only
 
     @property
     def column_index(self):
         return {m: i for i, m in enumerate(self.columns)}
 
 
-def macaulay_matrix(gens, d: int, order: OrderSpec | None = None,
-                    max_cells: int = DEFAULT_CELL_BUDGET) -> MacaulayMatrix:
+def macaulay_matrix(gens, d: int, order: OrderSpec | None = None) -> MacaulayMatrix:
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise ValueError("need at least one nonzero generator")
@@ -76,62 +79,22 @@ def macaulay_matrix(gens, d: int, order: OrderSpec | None = None,
     columns = sorted_monomials(ring, d, order)
     col_index = {m: i for i, m in enumerate(columns)}
 
-    rows = []
     n_rows = sum(
         comb(d - g.total_degree() + ring.nvars - 1, ring.nvars - 1)
         for g in gens
         if g.total_degree() <= d
     )
-    if n_rows * len(columns) > max_cells:
+    if n_rows * len(columns) > DEFAULT_CELL_BUDGET:
         raise MemoryError(
             f"Macaulay matrix would need {n_rows}x{len(columns)} cells, "
-            f"over the {max_cells} budget"
+            f"over the {DEFAULT_CELL_BUDGET} budget"
         )
-    for g in gens:
-        dg = g.total_degree()
-        if dg > d:
-            continue
-        for m in monomials_of_degree(ring.nvars, d - dg):
-            vec = [ring.field.zero] * len(columns)
-            for t in g.terms:
-                vec[col_index[mono_mul(t.monomial, m)]] = t.coeff
-            rows.append(vec)
+    rows = [
+        {col_index[mono_mul(t.monomial, m)]: t.coeff for t in g.terms}
+        for g in gens if g.total_degree() <= d
+        for m in monomials_of_degree(ring.nvars, d - g.total_degree())
+    ]
     return MacaulayMatrix(ring, d, columns, rows)
-
-
-def row_reduce(rows, field):
-    """In-place reduced row echelon form; returns the pivot column list.
-
-    Pivots take the first nonzero entry scanning left to right, top rows
-    first, with no reordering heuristics, so runs are reproducible.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [
-                    field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])
-                ]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
 
 
 class Echelon:
@@ -178,19 +141,19 @@ class Echelon:
 
 
 def rank_of_rows(rows, field) -> int:
-    """Rank of dense rows through an ``Echelon``; the input is untouched."""
+    """Rank of sparse rows ``{column: coeff}``; the input is untouched."""
     echelon = Echelon(field)
-    for dense in rows:
-        echelon.add({c: x for c, x in enumerate(dense) if x != 0})
+    for row in rows:
+        echelon.add(dict(row))
     return echelon.rank
 
 
-def ideal_dim_in_degree(gens, d: int, max_cells: int = DEFAULT_CELL_BUDGET) -> int:
-    """dim_k of the degree-d slice of the ideal, by exact row reduction."""
+def ideal_dim_in_degree(gens, d: int) -> int:
+    """dim_k of the degree-d slice of the ideal: the Macaulay matrix's rank."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return 0
-    mat = macaulay_matrix(gens, d, max_cells=max_cells)
+    mat = macaulay_matrix(gens, d)
     return rank_of_rows(mat.rows, mat.ring.field)
 
 
@@ -203,11 +166,10 @@ def membership_in_degree(g: Polynomial, gens) -> bool:
     gens = [f for f in gens if not f.is_zero]
     if not gens:
         return False
-    d = g.total_degree()
-    mat = macaulay_matrix(gens, d)
+    mat = macaulay_matrix(gens, g.total_degree())
     echelon = Echelon(mat.ring.field)
     for row in mat.rows:
-        echelon.add({c: x for c, x in enumerate(row) if x != 0})
+        echelon.add(row)
     index = mat.column_index
     return not echelon.add({index[t.monomial]: t.coeff for t in g.terms})
 
@@ -215,28 +177,40 @@ def membership_in_degree(g: Polynomial, gens) -> bool:
 def initial_ideal_in_degree(gens, d: int, order: OrderSpec | None = None) -> list:
     """Lead monomials of a degree-d basis of the ideal with distinct leads.
 
-    Gaussian elimination with columns sorted descending under the order
-    turns pivot columns into exactly the degree-d slice of the initial
-    ideal.
+    With columns sorted descending under the order, the pivot columns of any
+    echelon form are the leading columns of the row space, which is exactly
+    the degree-d slice of the initial ideal.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
     mat = macaulay_matrix(gens, d, order=order)
-    work = [list(r) for r in mat.rows]
-    pivots = row_reduce(work, mat.ring.field)
-    return [mat.columns[c] for c in pivots]
+    echelon = Echelon(mat.ring.field)
+    for row in mat.rows:
+        echelon.add(row)
+    return [mat.columns[c] for c in sorted(echelon.pivots)]
 
 
 def invert_matrix(matrix, field):
-    """Inverse of a square matrix over the field, or None when singular."""
+    """Inverse of a square matrix over the field, or None when singular.
+
+    The rows of (M | I) go through one ``Echelon``; M is invertible exactly
+    when the pivots are the columns of M.  Clearing each pivot row above its
+    lead, from the last row up, leaves the inverse in the right half.
+    """
     n = len(matrix)
-    work = [list(row) + [field.one if i == j else field.zero for j in range(n)]
-            for i, row in enumerate(matrix)]
-    pivots = row_reduce(work, field)
-    if pivots != list(range(n)):
+    echelon = Echelon(field)
+    for i, row in enumerate(matrix):
+        echelon.add({**{j: x for j, x in enumerate(row) if x}, n + i: field.one})
+    rows = echelon.pivots
+    if sorted(rows) != list(range(n)):
         return None
-    return [row[n:] for row in work]
+    for c in reversed(range(n)):
+        for r in range(c):
+            if f := rows[r].get(c):
+                for k, y in rows[c].items():
+                    rows[r][k] = field.sub(rows[r].get(k, field.zero), field.mul(f, y))
+    return [[rows[i].get(n + j, field.zero) for j in range(n)] for i in range(n)]
 
 
 def eliahou_kervaire_betti(monomials) -> dict:

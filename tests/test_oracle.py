@@ -29,9 +29,53 @@ from groebner.oracle import (
     invert_matrix,
     macaulay_matrix,
     rank_of_rows,
-    row_reduce,
 )
 from groebner.parser import parse_polynomial
+
+
+def row_reduce(rows, field):
+    """In-place reduced row echelon form; returns the pivot column list.
+
+    Pivots take the first nonzero entry scanning left to right, top rows
+    first, with no reordering heuristics, so runs are reproducible.
+    """
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [
+                    field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])
+                ]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def _sparse(dense):
+    return {c: x for c, x in enumerate(dense) if x != 0}
+
+
+def _suite_ideals(field):
+    # the acceptance suites' shape cycle (tests/test_acceptance.py)
+    for k in range(12):
+        yield random_ideal(1000 + k, 3 + k % 2, 2 + k % 3, 1 + k % 3, field=field)[1]
 
 
 def test_monomial_enumeration_counts():
@@ -69,6 +113,18 @@ def test_initial_ideal_in_degree_agrees_with_basis_route(cubic_lex):
         assert truncated == set(ini.monomials_of_degree(d))
 
 
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF32003", "QQ"])
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_initial_ideal_in_degree_agrees_on_random_suite(field, order):
+    # the pivots of the Macaulay echelon are the degree-d slice of in(I)
+    for gens in _suite_ideals(field):
+        ini = initial_ideal(gens, order=order)
+        top = max(g.total_degree() for g in gens) + 2
+        for d in range(top + 1):
+            truncated = initial_ideal_in_degree(gens, d, order=order)
+            assert sorted(truncated) == sorted(ini.monomials_of_degree(d))
+
+
 def test_initial_ideal_in_degree_edges(ring_qq_xy):
     x, y = ring_qq_xy.variables()
     assert initial_ideal_in_degree([x * x + y * y], 1) == []
@@ -77,25 +133,28 @@ def test_initial_ideal_in_degree_edges(ring_qq_xy):
 
 
 def test_memory_budget_guard(cubic_lex):
+    # 13,485 rows x 5,456 columns, over the 4M-cell budget; refused before
+    # any row is built
     ring, gens = cubic_lex
-    with pytest.raises(MemoryError):
-        macaulay_matrix(gens, 9, max_cells=10)
+    with pytest.raises(MemoryError, match="13485x5456"):
+        macaulay_matrix(gens, 30)
 
 
 def test_rank_and_inverse_helpers():
     F = GF(7)
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert rank_of_rows([[F.normalize(x) for x in r] for r in rows], F) == 2
+    assert rank_of_rows([_sparse([F.normalize(x) for x in r]) for r in rows], F) == 2
     # the sparse forward elimination agrees with the dense reduced echelon
-    # form and leaves its input alone
+    # form of the Macaulay rows and leaves its input alone
     for field in (QQ, F):
         _, gens = random_ideal(5, 3, 3, 2, field=field)
         for d in (2, 3, 4):
             mat = macaulay_matrix(gens, d)
-            before = [list(r) for r in mat.rows]
+            before = [dict(r) for r in mat.rows]
             rank = rank_of_rows(mat.rows, field)
             assert mat.rows == before
-            assert rank == len(row_reduce(before, field))
+            dense = [[r.get(c, field.zero) for c in range(len(mat.columns))] for r in before]
+            assert rank == len(row_reduce(dense, field))
     # the echelon fed row by row: its rank gains add up to the dense rank,
     # and its pivots inside each column prefix to the rank of the rows cut
     # to that prefix
@@ -108,19 +167,45 @@ def test_rank_and_inverse_helpers():
                  for _ in range(ncols)]
                 for _ in range(rng.randint(1, 12))
             ]
-            before = [list(r) for r in rows]
+            sparse = [_sparse(r) for r in rows]
+            before = [dict(r) for r in sparse]
             echelon = Echelon(field)
-            gains = sum(echelon.add({c: x for c, x in enumerate(r) if x != 0}) for r in rows)
+            gains = sum(echelon.add(_sparse(r)) for r in rows)
             rank = len(row_reduce([list(r) for r in rows], field))
             assert gains == echelon.rank == rank
-            assert rank_of_rows(rows, field) == rank
-            assert rows == before
+            assert rank_of_rows(sparse, field) == rank
+            assert sparse == before
             for prefix in range(ncols + 1):
                 cut = len(row_reduce([r[:prefix] for r in rows], field))
                 assert sum(c < prefix for c in echelon.pivots) == cut
     inv = invert_matrix([[1, 1], [0, 1]], F)
     assert inv == [[1, 6], [0, 1]]
     assert invert_matrix([[1, 1], [1, 1]], F) is None
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(7), GF(32003), QQ],
+                         ids=["GF2", "GF7", "GF32003", "QQ"])
+def test_invert_matrix_property(field):
+    # M * inv == I, and None exactly when the dense reference finds rank < n;
+    # small entries over small fields make singular draws common
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        matrix = [[field.normalize(rng.randint(-3, 3)) if rng.random() < 0.6 else field.zero
+                   for _ in range(n)] for _ in range(n)]
+        before = [list(r) for r in matrix]
+        inv = invert_matrix(matrix, field)
+        assert matrix == before
+        rank = len(row_reduce([list(r) for r in matrix], field))
+        assert (inv is None) == (rank < n)
+        if inv is None:
+            continue
+        for i in range(n):
+            for j in range(n):
+                entry = field.zero
+                for k in range(n):
+                    entry = field.add(entry, field.mul(matrix[i][k], inv[k][j]))
+                assert entry == (field.one if i == j else field.zero)
 
 
 def test_oracle_agrees_with_hilbert_route_on_random_suite():
