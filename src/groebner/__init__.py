@@ -14,11 +14,9 @@ from .degeneration import (
     flat_family,
     flatness_check,
     initial_form,
-    lex_weights,
-    staged_flat_family,
 )
 from .division import DivisionResult, divide, normal_form, s_polynomial
-from .families import MayrMeyerSpec, mayr_meyer, random_ideal, twisted_cubic
+from .families import mayr_meyer, random_ideal, twisted_cubic
 from .fields import GF, QQ, Field, PrimeField, RationalField
 from .ideals import (
     MembershipCertificate,
@@ -56,7 +54,7 @@ from .oracle import (
     monomials_of_degree,
 )
 from .orders import GREVLEX, LEX, OrderSpec, compare, eliminate_order, weight_order
-from .poly import Polynomial, PolynomialRing, Term, leading_term
+from .poly import Polynomial, PolynomialRing, Term
 from .resolutions import (
     INCONCLUSIVE,
     NOT_REGULAR,

@@ -17,13 +17,12 @@ from typing import NamedTuple
 
 from .buchberger import BuchbergerOptions
 from .ideals import _complete_basis, hilbert_function
-from .orders import GREVLEX, OrderSpec, weight_order
+from .orders import weight_order
 from .poly import Polynomial, PolynomialRing
 
 __all__ = [
     "initial_form", "FamilyMember", "FlatFamily", "flat_family",
     "family_from_generators", "FlatnessReport", "flatness_check",
-    "staged_flat_family", "lex_weights",
 ]
 
 
@@ -46,13 +45,12 @@ def initial_form(f: Polynomial, W) -> Polynomial:
 class FamilyMember(NamedTuple):
     poly: Polynomial          # the t = 1 fiber
     t_exponents: tuple        # one exponent per stored term
-    baseline: int             # least weight among the terms
 
 
 def _member_for(f: Polynomial, W) -> FamilyMember:
     ws = [_weight_of(t.monomial, W) for t in f.terms]
     least = min(ws)
-    return FamilyMember(f, tuple(w - least for w in ws), least)
+    return FamilyMember(f, tuple(w - least for w in ws))
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,6 @@ class FlatFamily:
     ring: PolynomialRing
     weights: tuple
     members: tuple
-    completed: bool  # True when the t=1 fiber is a Groebner basis by construction
 
     def generators_at_one(self):
         return [m.poly for m in self.members]
@@ -116,14 +113,13 @@ def family_from_generators(gens, W) -> FlatFamily:
     ring = gens[0].ring
     if len(W) != ring.nvars:
         raise ValueError("weight vector length does not match the ring")
-    return FlatFamily(ring, W, tuple(_member_for(g, W) for g in gens), False)
+    return FlatFamily(ring, W, tuple(_member_for(g, W) for g in gens))
 
 
-def flat_family(gens, W, tiebreak: OrderSpec = GREVLEX,
-                opts: BuchbergerOptions | None = None) -> FlatFamily:
+def flat_family(gens, W, opts: BuchbergerOptions | None = None) -> FlatFamily:
     """Complete generators into a flat degeneration along W.
 
-    Buchberger under the weight order (ties broken by tiebreak) produces a
+    Buchberger under the weight order, ties broken by grevlex, produces a
     basis whose t=1 fiber is the ideal and whose t=0 fiber is in_W(I); the
     t-exponents are reconstructed from W afterwards.
     """
@@ -134,8 +130,8 @@ def flat_family(gens, W, tiebreak: OrderSpec = GREVLEX,
     for g in gens:
         if not g.is_homogeneous():
             raise ValueError("flat families need homogeneous input")
-    gb = _complete_basis(gens, order=weight_order(W, tiebreak), opts=opts)
-    return FlatFamily(gb.ring, W, tuple(_member_for(f, W) for f in gb.elements), True)
+    gb = _complete_basis(gens, order=weight_order(W), opts=opts)
+    return FlatFamily(gb.ring, W, tuple(_member_for(f, W) for f in gb.elements))
 
 
 @dataclass(frozen=True)
@@ -154,48 +150,22 @@ class FlatnessReport:
         )
 
 
-def flatness_check(family: FlatFamily, d_max: int | None = None) -> FlatnessReport:
+def flatness_check(family: FlatFamily) -> FlatnessReport:
     """Hilbert-function proxy for flatness of the family over the t-line.
 
     A flat degeneration keeps the Hilbert function constant, and the t=0
     ideal of a completed basis realizes it; any extra central-fiber
     component shows up as a dimension drop in some degree, reported here.
+    The fibers are compared in degrees 0 through the top generator degree
+    plus 3.
     """
     t1 = [g for g in family.generators_at_one() if not g.is_zero]
     t0 = [g for g in family.generators_at_zero() if not g.is_zero]
     if not t1:
         return FlatnessReport(True, None, [], [])
-    if d_max is None:
-        d_max = max(g.total_degree() for g in t1) + 3
+    d_max = max(g.total_degree() for g in t1) + 3
     h1 = hilbert_function(t1, d_max)
     h0 = hilbert_function(t0, d_max)
     first = next((d for d in range(d_max + 1) if h1[d] != h0[d]), None)
     return FlatnessReport(first is None, first, h1, h0)
 
-
-def staged_flat_family(gens, weight_vectors, tiebreak: OrderSpec = GREVLEX,
-                       opts: BuchbergerOptions | None = None):
-    """Experimental: degenerate in stages, one weight vector at a time.
-
-    Each stage completes a family for its weight vector and hands the t=0
-    fiber to the next stage.  Returns the list of per-stage families.
-    """
-    stages = []
-    current = list(gens)
-    for W in weight_vectors:
-        fam = flat_family(current, W, tiebreak=tiebreak, opts=opts)
-        stages.append(fam)
-        current = [g for g in fam.generators_at_zero() if not g.is_zero]
-    return stages
-
-
-def lex_weights(nvars: int, degree_cap: int) -> tuple:
-    """Weights realizing the lexicographic order on monomials of degree
-    below the cap: (-d^(n-1), ..., -d, -1, 0).
-
-    Comparisons beyond the cap are settled by the tiebreak order, not by
-    these weights; treat them as undefined behavior of the weight model.
-    """
-    if nvars < 1 or degree_cap < 2:
-        raise ValueError("need at least one variable and a cap of 2 or more")
-    return tuple(-(degree_cap ** (nvars - 2 - i)) for i in range(nvars - 1)) + (0,)

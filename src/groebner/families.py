@@ -13,7 +13,6 @@ threshold formula 2^(2^n) counts the base block as level 0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .fields import Field, GF, QQ
 from .ideals import homogenize
@@ -21,50 +20,12 @@ from .orders import GREVLEX, LEX, OrderSpec
 from .oracle import monomials_of_degree
 from .poly import PolynomialRing
 
-__all__ = ["MayrMeyerSpec", "mayr_meyer", "twisted_cubic", "random_ideal"]
+__all__ = ["mayr_meyer", "twisted_cubic", "random_ideal"]
 
 DEFAULT_PRIME = 32003
 
 
-@dataclass(frozen=True)
-class MayrMeyerSpec:
-    """Shape data for the level-n binomial tower."""
-
-    n: int
-    homogeneous: bool = False
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("level must be at least 1")
-
-    @property
-    def variable_count(self) -> int:
-        return 10 * self.n + (1 if self.homogeneous else 0)
-
-    @property
-    def generator_count(self) -> int:
-        return 10 * self.n - 6
-
-    def variable_names(self) -> list:
-        # higher levels first, homogenizer last; fixed once for reproducibility
-        names = []
-        for m in range(self.n, 0, -1):
-            names.append(f"S{m}")
-        for m in range(self.n, 0, -1):
-            names.append(f"F{m}")
-        for m in range(self.n, 0, -1):
-            for i in range(1, 5):
-                names.append(f"C{i}_{m}")
-        for m in range(self.n, 0, -1):
-            for i in range(1, 5):
-                names.append(f"B{i}_{m}")
-        if self.homogeneous:
-            names.append("u")
-        return names
-
-
-def mayr_meyer(n: int, homogeneous: bool = False, field: Field | None = None,
-               order: OrderSpec = GREVLEX):
+def mayr_meyer(n: int, homogeneous: bool = False, field: Field | None = None):
     """Level-n tower ideal; returns (ring, generators).
 
     The affine generators follow the three standard blocks: level linking
@@ -72,11 +33,14 @@ def mayr_meyer(n: int, homogeneous: bool = False, field: Field | None = None,
     relations C_i S - C_i F B_i^2.  At n = 1 only the base block is
     nonempty, giving four binomials.  Level n realizes the threshold
     2^(2^(n-1)) (2, 4, 16 for n = 1, 2, 3) and equals the conventional
-    J_{n-1}; n = 0 is rejected.
+    J_{n-1}; n = 0 is rejected.  The ring is grevlex, with the variables
+    of higher levels first, and the homogenizer u last.
     """
-    spec = MayrMeyerSpec(n, homogeneous)
-    field = field or GF(DEFAULT_PRIME)
-    ring = PolynomialRing(field, spec.variable_names()[: 10 * n], order)
+    if n < 1:
+        raise ValueError("level must be at least 1")
+    names = [f"{v}{m}" for v in "SF" for m in range(n, 0, -1)]
+    names += [f"{v}{i}_{m}" for v in "CB" for m in range(n, 0, -1) for i in range(1, 5)]
+    ring = PolynomialRing(field or GF(DEFAULT_PRIME), names)
 
     def S(m):
         return ring.variable(f"S{m}")
@@ -107,11 +71,10 @@ def mayr_meyer(n: int, homogeneous: bool = False, field: Field | None = None,
     for i in range(1, 5):
         gens.append(C(i, 1) * S(1) - C(i, 1) * F(1) * B(i, 1) ** 2)
 
-    assert len(gens) == spec.generator_count
+    assert len(gens) == 10 * n - 6
 
     if homogeneous:
-        hring, hgens, _ = homogenize(gens, name="u")
-        return hring.with_order(order), [g.reorder(hring.with_order(order)) for g in hgens]
+        return homogenize(gens)[:2]
     return ring, gens
 
 

@@ -97,9 +97,6 @@ class Field:
     def random_scalar(self, rng):
         raise NotImplementedError
 
-    def __call__(self, a):
-        return self.normalize(a)
-
 
 class RationalField(Field):
     """The rationals; Fraction keeps lowest terms with positive denominator."""

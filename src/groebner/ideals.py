@@ -188,18 +188,33 @@ def ideal_quotient(gens, f: Polynomial, opts: BuchbergerOptions | None = None):
 
 
 def ideal_quotient_saturation(gens, f: Polynomial, opts: BuchbergerOptions | None = None):
-    """(I : f^infinity): iterate the quotient until it stabilizes."""
-    current = [g for g in gens if not g.is_zero]
-    if not current:
+    """Reduced basis of (I : f^infinity) in the ring of I.
+
+    (I : f^infinity) is (I, 1 - t*f) intersected with k[x] (Rabinowitsch):
+    one elimination of a fresh first variable t, in a grevlex ring since a
+    weight order has no weight for t, and one completion back in the ring
+    of I.
+    """
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
         return []
-    current = list(_complete_basis(current, opts=opts).elements)
-    while True:
-        nxt = ideal_quotient(current, f, opts)
-        if not nxt:
-            return []
-        if set(nxt) == set(current):
-            return nxt
-        current = nxt
+    if f.is_zero:
+        raise ValueError("cannot divide an ideal by zero")
+    ring = gens[0].ring
+    if f.ring != ring:
+        raise ValueError("ring mismatch")
+    name = "t"
+    while name in ring.names:
+        name += "_"
+    tring = PolynomialRing(ring.field, (name,) + ring.names, GREVLEX)
+
+    def lift(g):
+        return tring.polynomial((c, (0,) + m) for c, m in g.terms)
+
+    t = tring.variable(0)
+    kept = eliminate([lift(g) for g in gens] + [tring.one() - t * lift(f)], 1, opts)
+    dropped = [ring.polynomial((c, m[1:]) for c, m in g.terms) for g in kept]
+    return list(_complete_basis(dropped, opts=opts).elements)
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +425,10 @@ def dehomogenize_polynomial(f: Polynomial, ring: PolynomialRing) -> Polynomial:
     return ring.polynomial((t.coeff, t.monomial[:-1]) for t in f.terms)
 
 
-def homogenize(gens, name: str = "u"):
-    """Homogenize each generator to its own degree with a fresh last
-    variable; returns (extended ring, new generators, old ring).  Under a
-    weight order the new variable gets weight 0."""
+def homogenize(gens):
+    """Homogenize each generator to its own degree with a new last
+    variable u; returns (extended ring, new generators, old ring).  Under a
+    weight order u gets weight 0."""
     gens = list(gens)
     if not gens:
         raise ValueError("nothing to homogenize")
@@ -421,7 +436,7 @@ def homogenize(gens, name: str = "u"):
     order = ring.order
     if order.kind == "weight":
         order = replace(order, weights=order.weights + (0,))
-    hring = ring.append_variable(name, order)
+    hring = ring.append_variable("u", order)
     return hring, [homogenize_polynomial(g, hring) for g in gens], ring
 
 

@@ -164,10 +164,6 @@ class FreeModule:
                 raise ValueError("component ring does not match module ring")
         return ModuleElement(self, comps)
 
-    def zero(self) -> "ModuleElement":
-        z = self.ring.zero()
-        return ModuleElement(self, (z,) * self.rank)
-
 
 class ModuleElement:
     """Immutable element of a free module, stored componentwise.  Its lead
@@ -279,12 +275,6 @@ class ModuleElement:
 
     def scalar_mul(self, c) -> "ModuleElement":
         return ModuleElement(self.module, tuple(p.scalar_mul(c) for p in self.comps))
-
-    def monic(self) -> "ModuleElement":
-        lc = self.lead_term().coeff
-        if lc == self.module.ring.field.one:
-            return self
-        return self.scalar_mul(self.module.ring.field.inv(lc))
 
     def apply(self, targets):
         """Evaluate against targets: sum of comps[i] * targets[i]."""

@@ -1,7 +1,7 @@
 """The ideal-file text format.
 
     # comment
-    field QQ            (or Fp:32003; optional, callers supply a default)
+    field QQ            (or Fp:7; optional, Fp:32003 when absent)
     ring w x y z
     f1 = w^2 - x*y
     f2 = w*y - x*z
@@ -71,6 +71,7 @@ def _tokenize(text: str, line_no: int):
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", line_no, i + 1)
+    tokens.append((None, None, i + 1))  # end of line, for errors that reach it
     return tokens
 
 
@@ -85,17 +86,15 @@ class _ExprParser:
         self.pos = 0
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, -1)
+        return self.tokens[self.pos]
 
     def take(self):
         tok = self.peek()
         self.pos += 1
         return tok
 
-    def fail(self, msg, tok=None):
-        tok = tok or self.peek()
-        col = tok[2] if tok[2] > 0 else 1
-        raise ParseError(msg, self.line, col)
+    def fail(self, msg, tok):
+        raise ParseError(msg, self.line, tok[2])
 
     def parse(self) -> Polynomial:
         result = self.parse_term()
@@ -110,7 +109,7 @@ class _ExprParser:
             elif kind is None:
                 return result
             else:
-                self.fail(f"expected '+' or '-', got {self.peek()[1]!r}")
+                self.fail(f"expected '+' or '-', got {self.peek()[1]!r}", self.peek())
 
     def parse_term(self) -> Polynomial:
         sign = 1
@@ -124,28 +123,31 @@ class _ExprParser:
         return result if sign > 0 else -result
 
     def parse_factor(self) -> Polynomial:
-        kind, value, col = self.take()
+        tok = kind, value, _ = self.take()
         if kind == "int":
             num = int(value)
             if self.peek()[0] == "/":
                 self.take()
-                dkind, dval, _ = self.take()
-                if dkind != "int":
-                    self.fail("expected an integer denominator")
-                return self.ring.constant(Fraction(num, int(dval)))
+                dtok = self.take()
+                if dtok[0] != "int":
+                    self.fail("expected an integer denominator", dtok)
+                den, p = int(dtok[1]), self.ring.field.modulus
+                if den == 0 or (p is not None and den % p == 0):
+                    self.fail(f"denominator {den} is zero in {self.ring.field}", dtok)
+                return self.ring.constant(Fraction(num, den))
             return self.ring.constant(num)
         if kind == "name":
             if value not in self.ring._index:
-                raise ParseError(f"unknown variable {value!r}", self.line, col)
+                self.fail(f"unknown variable {value!r}", tok)
             base = self.ring.variable(value)
             if self.peek()[0] == "^":
                 self.take()
-                ekind, eval_, ecol = self.take()
-                if ekind != "int":
-                    raise ParseError("exponent must be a nonnegative integer", self.line, ecol)
-                return base ** int(eval_)
+                exp = self.take()
+                if exp[0] != "int":
+                    self.fail("exponent must be a nonnegative integer", exp)
+                return base ** int(exp[1])
             return base
-        self.fail("expected a coefficient or a variable", (kind, value, col))
+        self.fail("expected a coefficient or a variable", tok)
 
 
 def _parse_field_token(token: str) -> Field:
@@ -161,11 +163,9 @@ def _parse_field_token(token: str) -> Field:
     raise ValueError(f"unknown field {token!r} (use QQ or Fp:p)")
 
 
-def parse_ideal_file(text: str, default_field: Field | None = None,
-                     order: OrderSpec = GREVLEX,
+def parse_ideal_file(text: str, order: OrderSpec = GREVLEX,
                      field_override: Field | None = None) -> IdealFile:
     field = None
-    names = None
     ring = None
     entries = []
     declared = False
@@ -173,22 +173,23 @@ def parse_ideal_file(text: str, default_field: Field | None = None,
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("field "):
+        keyword, _, rest = line.partition(" ")
+        if keyword == "field":
             if ring is not None:
                 raise ParseError("field must come before the ring", line_no, 1)
             declared = True
             try:
-                field = _parse_field_token(line[6:].strip())
+                field = _parse_field_token(rest.strip())
             except ValueError as exc:
                 raise ParseError(str(exc), line_no, 7)
             continue
-        if line.startswith("ring "):
+        if keyword == "ring":
             if ring is not None:
                 raise ParseError("duplicate ring declaration", line_no, 1)
-            names = line[5:].split()
+            names = rest.split()
             if not names:
                 raise ParseError("ring needs at least one variable", line_no, 6)
-            use = field_override or field or default_field or GF(32003)
+            use = field_override or field or GF(32003)
             try:
                 ring = PolynomialRing(use, names, order)
             except ValueError as exc:
@@ -197,8 +198,6 @@ def parse_ideal_file(text: str, default_field: Field | None = None,
         if ring is None:
             raise ParseError("polynomials must follow a ring declaration", line_no, 1)
         tokens = _tokenize(raw, line_no)
-        if not tokens:
-            continue
         if len(tokens) < 2 or tokens[0][0] != "name" or tokens[1][0] != "=":
             raise ParseError("expected 'name = polynomial'", line_no, tokens[0][2])
         name = tokens[0][1]

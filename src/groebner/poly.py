@@ -27,7 +27,7 @@ from .fields import Field
 from .orders import GREVLEX, OrderSpec, in_range, packing_error
 
 __all__ = [
-    "Term", "Monomial", "PolynomialRing", "Polynomial", "leading_term", "CoordinateChange",
+    "Term", "Monomial", "PolynomialRing", "Polynomial", "CoordinateChange",
     "last_variable_change",
     "mono_mul", "mono_div", "mono_lcm", "mono_divides", "mono_degree", "mono_mask",
 ]
@@ -486,11 +486,6 @@ class Polynomial:
             else:
                 parts.append(f"- {body}" if negative else f"+ {body}")
         return " ".join(parts)
-
-
-def leading_term(f: Polynomial) -> Term:
-    """Largest term of f under its ring's order; rejects the zero polynomial."""
-    return f.lead_term
 
 
 @dataclasses.dataclass

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,24 +52,47 @@ def test_round_trip_with_rational_coefficients():
 
 
 def test_round_trip_prime_field():
-    text = "field Fp:7\nring x y\nf = 6*x + y\n"
+    text = "field Fp:7\nring x y\nf = 6*x + y\ng = 1/2*x\n"
     ideal = parse_ideal_file(text)
     reparsed = parse_ideal_file(print_ideal_file(ideal))
     assert reparsed.generators == ideal.generators
+    x, y = ideal.ring.variables()
+    assert ideal.generators[1] == 4 * x
+
+
+# (text, line, column, message): every error the parser raises
+PARSE_ERRORS = [
+    ("field QQ\nring x y\nf = x^-1\n", 3, 7, "exponent must be"),
+    ("field QQ\nring x y\nf = x^\n", 3, 7, "exponent must be"),
+    ("field QQ\nring x y\nf = 2x\n", 3, 6, "expected '+' or '-'"),
+    ("field QQ\nring x y\nf = x + q\n", 3, 9, "unknown variable 'q'"),
+    ("field QQ\nring x y\nf = x $ y\n", 3, 7, "unexpected character '$'"),
+    ("field QQ\nring x y\nf = 1/x\n", 3, 7, "expected an integer denominator"),
+    ("field QQ\nring x y\nf = 1/0*x + y\n", 3, 7, "denominator 0 is zero in QQ"),
+    ("field Fp:7\nring x y\nf = 1/7*x\n", 3, 7, "denominator 7 is zero in F_7"),
+    ("field Fp:7\nring x y\nf = 1/14*x\n", 3, 7, "denominator 14 is zero in F_7"),
+    ("field QQ\nring x y\nf = x * = y\n", 3, 9, "expected a coefficient or a variable"),
+    ("field QQ\nring x y\nf = x +\n", 3, 8, "expected a coefficient or a variable"),
+    ("field Fp:10\nring x\nf = x\n", 1, 7, "modulus must be prime"),
+    ("field Fp:a\nring x\n", 1, 7, "bad modulus"),
+    ("field RR\nring x\n", 1, 7, "unknown field 'RR'"),
+    ("field\nring x\n", 1, 7, "unknown field ''"),
+    ("ring x\nfield QQ\nf = x\n", 2, 1, "field must come before the ring"),
+    ("ring x\nring y\n", 2, 1, "duplicate ring declaration"),
+    ("field QQ\nring\nf = x\n", 2, 6, "ring needs at least one variable"),
+    ("ring x y x\n", 1, 6, "duplicate variable names"),
+    ("field QQ\nf = x\nring x\n", 2, 1, "polynomials must follow a ring declaration"),
+    ("ring x\nx + 1\n", 2, 1, "expected 'name = polynomial'"),
+    ("# no ring\nfield QQ\n", 1, 1, "missing ring declaration"),
+]
 
 
 def test_parse_errors_carry_position():
-    with pytest.raises(ParseError) as err:
-        parse_ideal_file("field QQ\nring x y\nf = x^-1\n")
-    assert "line 3" in str(err.value)
-    with pytest.raises(ParseError):
-        parse_ideal_file("field QQ\nring x y\nf = 2x\n")  # implicit product
-    with pytest.raises(ParseError):
-        parse_ideal_file("field QQ\nring x y\nf = x + q\n")  # unknown variable
-    with pytest.raises(ParseError):
-        parse_ideal_file("field Fp:10\nring x\nf = x\n")  # composite modulus
-    with pytest.raises(ParseError):
-        parse_ideal_file("ring x\nfield QQ\nf = x\n")
+    for text, line, column, message in PARSE_ERRORS:
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_ideal_file(text)
+        assert (err.value.line, err.value.column) == (line, column), text
+        assert str(err.value).startswith(f"line {line}, column {column}: "), text
 
 
 def test_empty_polynomial_list_is_zero_ideal():
@@ -240,11 +264,19 @@ def test_module_entry_point_in_a_subprocess():
 
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.id"
-    bad.write_text("field QQ\nring x\nf = x^-1\n")
-    rc = main(["gb", str(bad)])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert "parse error" in err
+    for text, flags, column in [
+        ("field QQ\nring x\nf = x^-1\n", [], 7),
+        ("field QQ\nring x y\nf = 1/0*x + y\n", [], 7),
+        ("field Fp:7\nring x y\nf = 1/7*x\n", [], 7),
+        ("field QQ\nring x y\nf = 3/21*x\n", ["--field", "Fp:7"], 7),
+        ("# the default field, Fp:32003\nring x y\nf = y - 1/32003*x\n", [], 11),
+    ]:
+        bad.write_text(text)
+        rc = main(["gb", *flags, str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1, text
+        assert f"parse error: line 3, column {column}" in err, err
+        assert "Traceback" not in err, err
 
 
 def test_eliminate_command(capsys):

@@ -16,7 +16,6 @@ from groebner import (
     PolynomialRing,
     compare,
     eliminate_order,
-    leading_term,
     weight_order,
 )
 from groebner.orders import EQ, GT, LT
@@ -166,12 +165,12 @@ def test_leading_terms(ring_qq_lex):
     R = ring_qq_lex
     w, x, y, z = R.variables()
     f = x * x + y * y
-    assert leading_term(f).monomial == (0, 2, 0, 0)
-    assert leading_term(w * z - y * y).monomial == (1, 0, 0, 1)
+    assert f.lead_term.monomial == (0, 2, 0, 0)
+    assert (w * z - y * y).lead_term.monomial == (1, 0, 0, 1)
     single = R.monomial((0, 1, 2, 0), 5)
-    assert leading_term(single) == single.lead_term
+    assert single.lead_term == (5, (0, 1, 2, 0))
     with pytest.raises(ValueError):
-        leading_term(R.zero())
+        R.zero().lead_term
 
 
 def test_basic_identities(ring_qq_lex):

@@ -16,13 +16,13 @@ from groebner import (
     PolynomialRing,
     buchberger,
     compare,
+    flat_family,
     hilbert_function,
     ideal_quotient_saturation,
     is_groebner,
     membership,
     module_buchberger,
     monomials_of_degree,
-    staged_flat_family,
     weight_order,
 )
 from groebner.ideals import initial_ideal
@@ -156,12 +156,12 @@ def test_staged_degeneration_reaches_a_monomial_fiber():
     from groebner import twisted_cubic
 
     ring, gens = twisted_cubic(QQ, LEX)
-    stages = staged_flat_family(
-        gens, [(-1, 0, 0, 0), (-1, -1, 0, 0), (-1, -1, -1, 0)]
-    )
-    final = stages[-1].generators_at_zero()
-    assert all(len(f.terms) == 1 for f in final)
     ini = initial_ideal(gens, order=LEX)
+    # each stage's t=0 fiber is the next stage's input
+    for W in [(-1, 0, 0, 0), (-1, -1, 0, 0), (-1, -1, -1, 0)]:
+        final = flat_family(gens, W).generators_at_zero()
+        gens = [g for g in final if not g.is_zero]
+    assert all(len(f.terms) == 1 for f in final)
     assert {f.lead_monomial for f in final} >= set(ini.gens)
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from groebner import (
     QQ,
-    MayrMeyerSpec,
     eliminate,
     hilbert_function,
     mayr_meyer,
@@ -26,10 +25,12 @@ def test_twisted_cubic_generators():
 
 def test_mayr_meyer_counts():
     for n in (1, 2, 3):
-        spec = MayrMeyerSpec(n)
         ring, gens = mayr_meyer(n)
-        assert ring.nvars == 10 * n == spec.variable_count
-        assert len(gens) == 10 * n - 6 == spec.generator_count
+        assert ring.nvars == 10 * n
+        assert len(gens) == 10 * n - 6
+        hring, hgens = mayr_meyer(n, homogeneous=True)
+        assert hring.nvars == 10 * n + 1
+        assert len(hgens) == 10 * n - 6
     with pytest.raises(ValueError):
         mayr_meyer(0)
 

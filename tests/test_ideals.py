@@ -35,7 +35,7 @@ from groebner import (
     twisted_cubic,
     weight_order,
 )
-from groebner.ideals import SatDefect, dehomogenize_polynomial, generic_change
+from groebner.ideals import SatDefect, _complete_basis, dehomogenize_polynomial, generic_change
 from groebner.modules import BuchbergerOptions, CapInterrupted
 from groebner.oracle import ideal_dim_in_degree, membership_in_degree
 from groebner.parser import parse_ideal_file
@@ -132,6 +132,59 @@ def test_ideal_quotient_saturation_stabilizes():
     assert [str(f) for f in sat] == ["x1"]
     with pytest.raises(ValueError):
         ideal_quotient([x1], ring.zero())
+
+
+def _quotient_loop_saturation(gens, f, opts=None):
+    """(I : f^infinity) by repeating the quotient until it stabilizes, as
+    ideal_quotient_saturation computed it before its one elimination."""
+    current = [g for g in gens if not g.is_zero]
+    if not current:
+        return []
+    current = list(_complete_basis(current, opts=opts).elements)
+    while True:
+        nxt = ideal_quotient(current, f, opts)
+        if not nxt:
+            return []
+        if set(nxt) == set(current):
+            return nxt
+        current = nxt
+
+
+def test_quotient_saturation_is_the_quotient_loops():
+    # s % 6 == 5 is the 4-variable cubic shape, where the loop takes seconds
+    fields = [QQ, GF(32003), GF(7)]
+    for s in (s for s in range(40) if s % 6 != 5):
+        ring, gens = random_ideal(s, 3 + s % 2, 2 + s % 3, 1 + s % 3, field=fields[s % 3])
+        x = ring.variables()
+        f = x[-1] if s % 2 else x[0] + x[-1]
+        gens = [g * f ** (1 + s % 3) for g in gens[:-1]] + gens[-1:]
+        sat = ideal_quotient_saturation(gens, f)
+        assert sat == _quotient_loop_saturation(gens, f), s
+        if s % 2:
+            assert sat == saturate_variable(gens), s
+
+
+def test_quotient_saturation_keeps_the_ring_its_guards_and_its_cap():
+    for order in (weight_order((-3, -1, 0)), LEX):
+        ring, gens = random_ideal(7, 3, 2, 2, field=GF(7), order=order)
+        x0, x1, x2 = ring.variables()
+        gens = [gens[0] * (x0 + x1) ** 2, gens[1]]
+        sat = ideal_quotient_saturation(gens, x0 + x1)
+        assert sat == _quotient_loop_saturation(gens, x0 + x1)
+        assert all(g.ring == ring for g in sat)
+    ring, gens = random_ideal(1, 3, 3, 2)
+    x2 = ring.variable(2)
+    gens = [g * x2 for g in gens]
+    with pytest.raises(CapInterrupted):
+        ideal_quotient_saturation(gens, x2, BuchbergerOptions(degree_cap=1))
+    assert ideal_quotient_saturation([ring.zero()], ring.zero()) == []
+    with pytest.raises(ValueError, match="divide an ideal by zero"):
+        ideal_quotient_saturation(gens, ring.zero())
+    with pytest.raises(ValueError, match="ring mismatch"):
+        ideal_quotient_saturation(gens, PolynomialRing(QQ, ["a", "b", "c"]).variable(0))
+    # a ring variable named t does not collide with the eliminated one
+    t, x = PolynomialRing(QQ, ["t", "x"], GREVLEX).variables()
+    assert ideal_quotient_saturation([t * x, x * x - x], x) == [t, x - 1]
 
 
 def test_ideal_quotient_members_multiply_in(cubic_lex):
