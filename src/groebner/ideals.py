@@ -193,7 +193,8 @@ def ideal_quotient_saturation(gens, f: Polynomial, opts: BuchbergerOptions | Non
     (I : f^infinity) is (I, 1 - t*f) intersected with k[x] (Rabinowitsch):
     one elimination of a fresh first variable t, in a grevlex ring since a
     weight order has no weight for t, and one completion back in the ring
-    of I.
+    of I.  A weight order still refuses inhomogeneous I or f, as its
+    completions do.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -203,6 +204,8 @@ def ideal_quotient_saturation(gens, f: Polynomial, opts: BuchbergerOptions | Non
     ring = gens[0].ring
     if f.ring != ring:
         raise ValueError("ring mismatch")
+    if not ring.order.is_well_order and not all(g.is_homogeneous() for g in gens + [f]):
+        raise ValueError("weight orders need homogeneous generators")
     name = "t"
     while name in ring.names:
         name += "_"

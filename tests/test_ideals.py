@@ -165,13 +165,18 @@ def test_quotient_saturation_is_the_quotient_loops():
 
 
 def test_quotient_saturation_keeps_the_ring_its_guards_and_its_cap():
-    for order in (weight_order((-3, -1, 0)), LEX):
+    for order in (LEX, weight_order((-3, -1, 0))):
         ring, gens = random_ideal(7, 3, 2, 2, field=GF(7), order=order)
         x0, x1, x2 = ring.variables()
         gens = [gens[0] * (x0 + x1) ** 2, gens[1]]
         sat = ideal_quotient_saturation(gens, x0 + x1)
         assert sat == _quotient_loop_saturation(gens, x0 + x1)
         assert all(g.ring == ring for g in sat)
+    # the weight order refuses inhomogeneous input, before any elimination
+    with pytest.raises(ValueError, match="homogeneous"):
+        ideal_quotient_saturation(gens, x0 + x1 * x2)
+    with pytest.raises(ValueError, match="homogeneous"):
+        _quotient_loop_saturation(gens, x0 + x1 * x2)
     ring, gens = random_ideal(1, 3, 3, 2)
     x2 = ring.variable(2)
     gens = [g * x2 for g in gens]
