@@ -86,7 +86,7 @@ def _gb(ideal, args, opts):
 def _reduce(ideal, args, opts):
     g = parse_polynomial(args.poly, ideal.ring)
     gens = [f for f in ideal.generators if not f.is_zero]
-    nf = normal_form(g, _complete_basis(gens, opts=opts))
+    nf = normal_form(g, _complete_basis(gens, opts=opts, through=g.total_degree()))
     return Output(nf, [nf])
 
 
@@ -187,7 +187,7 @@ def _degenerate(ideal, args, opts):
 
 
 def _bs_regular(ideal, args, opts):
-    verdict = bayer_stillman_test(ideal.generators, args.m, trials=args.trials, seed=args.seed)
+    verdict = bayer_stillman_test(ideal.generators, args.m, args.trials, args.seed, opts)
     return Output(verdict, [verdict])
 
 

@@ -150,22 +150,23 @@ class FlatnessReport:
         )
 
 
-def flatness_check(family: FlatFamily) -> FlatnessReport:
+def flatness_check(family: FlatFamily,
+                   opts: BuchbergerOptions | None = None) -> FlatnessReport:
     """Hilbert-function proxy for flatness of the family over the t-line.
 
     A flat degeneration keeps the Hilbert function constant, and the t=0
     ideal of a completed basis realizes it; any extra central-fiber
     component shows up as a dimension drop in some degree, reported here.
     The fibers are compared in degrees 0 through the top generator degree
-    plus 3.
+    plus 3, each Hilbert function completed under opts.
     """
     t1 = [g for g in family.generators_at_one() if not g.is_zero]
     t0 = [g for g in family.generators_at_zero() if not g.is_zero]
     if not t1:
         return FlatnessReport(True, None, [], [])
     d_max = max(g.total_degree() for g in t1) + 3
-    h1 = hilbert_function(t1, d_max)
-    h0 = hilbert_function(t0, d_max)
+    h1 = hilbert_function(t1, d_max, opts)
+    h0 = hilbert_function(t0, d_max, opts)
     first = next((d for d in range(d_max + 1) if h1[d] != h0[d]), None)
     return FlatnessReport(first is None, first, h1, h0)
 

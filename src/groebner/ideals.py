@@ -38,9 +38,23 @@ __all__ = [
 ]
 
 
-def _complete_basis(gens, order=None, opts=None) -> GroebnerBasis:
+def _complete_basis(gens, order=None, opts=None, through=None) -> GroebnerBasis:
     """Basis, or CapInterrupted: derived operations must never read a
-    truncated basis as if it were the whole story."""
+    truncated basis as if it were the whole story.
+
+    A caller that reads only degrees <= D of a homogeneous ideal passes
+    through=D, and the completion stops above D unless the caller's cap
+    stops it first.  Pairs are treated by ascending degree, so the run is a
+    prefix of the full one, and the interreduction sorts by degree: the
+    elements of degree <= D and their transform rows are those of the full
+    basis, at the same positions.  Only they can divide a term of degree
+    <= D, so divisions of such polynomials match too (Lazard, 1983).
+    """
+    cap = opts.degree_cap if opts else None
+    if (through is not None and (cap is None or cap >= through)
+            and all(g.is_homogeneous() for g in gens)):
+        return buchberger(gens, order=order, opts=replace(opts or BuchbergerOptions(),
+                                                          degree_cap=through))
     gb = buchberger(gens, order=order, opts=opts)
     if not gb.complete:
         raise CapInterrupted("degree cap interrupted the completion")
@@ -287,8 +301,10 @@ def hilbert_function(ideal, d_max: int, opts: BuchbergerOptions | None = None) -
     """dim_k (S/I)_d for d = 0..d_max.
 
     Polynomial input routes through the initial ideal, which shares the
-    Hilbert function and is completed under opts; monomial input is counted
-    directly.
+    Hilbert function; its degrees <= d_max need the basis only through
+    d_max, so the completion stops there (see _complete_basis), and a cap
+    in opts raises CapInterrupted only when it lies below d_max and cuts
+    the completion.  Monomial input is counted directly.
     """
     if isinstance(ideal, MonomialIdeal):
         mono = ideal
@@ -299,7 +315,7 @@ def hilbert_function(ideal, d_max: int, opts: BuchbergerOptions | None = None) -
         for g in gens:
             if not g.is_homogeneous():
                 raise ValueError("Hilbert functions need homogeneous input")
-        mono = initial_ideal(gens, opts=opts)
+        mono = _lead_ideal(_complete_basis(gens, opts=opts, through=d_max).elements)
 
     return _series_values(_numerator(mono), mono.ring.nvars, d_max)
 
@@ -353,6 +369,13 @@ def membership(g: Polynomial, gens, opts: BuchbergerOptions | None = None) -> Me
     get their certificates from the grevlex basis.  The certificate has one
     coefficient per generator, zero at a zero generator; when every
     generator is zero, g is a member exactly when it is zero.
+
+    When the nonzero generators are homogeneous, g lies in I exactly when
+    each homogeneous part g_d lies in I_d, d <= deg g, so (gens)^h is completed
+    only through deg g (see _complete_basis): a cap in opts raises
+    CapInterrupted only when it lies below deg g and cuts the completion.
+    Inhomogeneous generators are completed in full, since the power of u
+    to try is read off the whole basis.
     """
     gens = list(gens)
     if not gens:
@@ -371,7 +394,11 @@ def membership(g: Polynomial, gens, opts: BuchbergerOptions | None = None) -> Me
     while name in ring.names:
         name += "_"
     hring = ring.with_order(GREVLEX).append_variable(name)
-    gb = _complete_basis([homogenize_polynomial(gens[i], hring) for i in nonzero], opts=opts)
+    # homogenizing makes every generator homogeneous; only the caller's own
+    # homogeneous generators make one degree enough
+    through = g.total_degree() if all(gens[i].is_homogeneous() for i in nonzero) else None
+    gb = _complete_basis([homogenize_polynomial(gens[i], hring) for i in nonzero],
+                         opts=opts, through=through)
     gh = homogenize_polynomial(g, hring)
     u = hring.variable(name)
     power = hring.one()

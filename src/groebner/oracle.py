@@ -31,7 +31,7 @@ __all__ = [
     "eliahou_kervaire_betti",
 ]
 
-DEFAULT_CELL_BUDGET = 4_000_000
+DEFAULT_ENTRY_BUDGET = 4_000_000  # nonzero entries of one Macaulay matrix
 
 
 def monomials_of_degree(nvars: int, d: int) -> list:
@@ -79,15 +79,16 @@ def macaulay_matrix(gens, d: int, order: OrderSpec | None = None) -> MacaulayMat
     columns = sorted_monomials(ring, d, order)
     col_index = {m: i for i, m in enumerate(columns)}
 
-    n_rows = sum(
-        comb(d - g.total_degree() + ring.nvars - 1, ring.nvars - 1)
+    # each multiple of g is one sparse row holding as many entries as g has terms
+    entries = sum(
+        len(g.terms) * comb(d - g.total_degree() + ring.nvars - 1, ring.nvars - 1)
         for g in gens
         if g.total_degree() <= d
     )
-    if n_rows * len(columns) > DEFAULT_CELL_BUDGET:
+    if entries > DEFAULT_ENTRY_BUDGET:
         raise MemoryError(
-            f"Macaulay matrix would need {n_rows}x{len(columns)} cells, "
-            f"over the {DEFAULT_CELL_BUDGET} budget"
+            f"Macaulay matrix would hold {entries} entries, "
+            f"over the {DEFAULT_ENTRY_BUDGET} budget"
         )
     rows = [
         {col_index[mono_mul(t.monomial, m)]: t.coeff for t in g.terms}

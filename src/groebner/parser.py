@@ -174,26 +174,30 @@ def parse_ideal_file(text: str, order: OrderSpec = GREVLEX,
         if not line or line.startswith("#"):
             continue
         keyword, _, rest = line.partition(" ")
+        # columns in the raw line: the keyword's, and the first token after it
+        # (or the one past the keyword and its space when none follows)
+        start = len(raw) - len(raw.lstrip()) + 1
+        arg = start + len(keyword) + 1 + len(rest) - len(rest.lstrip())
         if keyword == "field":
             if ring is not None:
-                raise ParseError("field must come before the ring", line_no, 1)
+                raise ParseError("field must come before the ring", line_no, start)
             declared = True
             try:
                 field = _parse_field_token(rest.strip())
             except ValueError as exc:
-                raise ParseError(str(exc), line_no, 7)
+                raise ParseError(str(exc), line_no, arg)
             continue
         if keyword == "ring":
             if ring is not None:
-                raise ParseError("duplicate ring declaration", line_no, 1)
+                raise ParseError("duplicate ring declaration", line_no, start)
             names = rest.split()
             if not names:
-                raise ParseError("ring needs at least one variable", line_no, 6)
+                raise ParseError("ring needs at least one variable", line_no, arg)
             use = field_override or field or GF(32003)
             try:
                 ring = PolynomialRing(use, names, order)
             except ValueError as exc:
-                raise ParseError(str(exc), line_no, 6)
+                raise ParseError(str(exc), line_no, arg)
             continue
         if ring is None:
             raise ParseError("polynomials must follow a ring declaration", line_no, 1)

@@ -184,12 +184,13 @@ def regularity(res: FreeResolution) -> int:
 # randomized regularity test
 # ---------------------------------------------------------------------------
 
-def _section_dims(ring, gens, k: int, d: int) -> tuple:
+def _section_dims(ring, gens, k: int, d: int, opts: BuchbergerOptions) -> tuple:
     """(dim (S/I)_d, dim (S/(I, x_{k-1}))_d) for S the ring of the first k
     variables and I generated by gens, which lie in S.  One echelon holds the
     degree-d multiples, its columns the monomials free of x_{k-1} first; a
     stored row starts at its smallest column, so the pivots inside that
-    prefix count the rank of the projection x_{k-1} = 0."""
+    prefix count the rank of the projection x_{k-1} = 0.  The deadline of
+    opts is checked as each row is added."""
     pad = (0,) * (ring.nvars - k)
     columns = sorted((e + pad for e in monomials_of_degree(k, d)), key=lambda e: e[k - 1] > 0)
     index = {e: i for i, e in enumerate(columns)}
@@ -198,13 +199,15 @@ def _section_dims(ring, gens, k: int, d: int) -> tuple:
     for g in gens:
         terms = [(t.monomial, t.coeff) for t in g.terms]
         for mono in monomials_of_degree(k, d - g.total_degree()):
+            opts.check_deadline()
             mono += pad
             echelon.add({index[mono_mul(e, mono)]: c for e, c in terms})
     in_prefix = sum(1 for c in echelon.pivots if c < free)
     return len(columns) - echelon.rank, free - in_prefix
 
 
-def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0) -> str:
+def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0,
+                        opts: BuchbergerOptions | None = None) -> str:
     """Randomized regularity-at-m test (Bayer & Stillman, 1987).
 
     I is m-regular when it is generated in degrees <= m and, for general
@@ -224,6 +227,10 @@ def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0) -> str:
     all trials must fail, which is conclusive over a large field because
     passing forms fill a Zariski-open set.  Over a small field the verdict
     is then INCONCLUSIVE.
+
+    No completion runs, so a degree cap in opts has nothing to cut; its
+    deadline is checked in the generator minimalization and as each row
+    joins an echelon.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -234,7 +241,8 @@ def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0) -> str:
         if not g.is_homogeneous():
             raise ValueError("regularity test needs homogeneous input")
 
-    min_gens = minimalize_generators(gens)
+    opts = opts or BuchbergerOptions()
+    min_gens = minimalize_generators(gens, opts)
     if max(g.total_degree() for g in min_gens) > m:
         return NOT_REGULAR
 
@@ -251,10 +259,10 @@ def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0) -> str:
             coeffs = [field.random_scalar(rng) for _ in range(k - 1)]
             change = last_variable_change(ring, k, coeffs)
             section = [change.apply(g) for g in section]
-            h_m, _ = _section_dims(ring, section, k, m)
+            h_m, _ = _section_dims(ring, section, k, m, opts)
             if h_m == 0:
                 return REGULAR
-            h_m1, h_next_m1 = _section_dims(ring, section, k, m + 1)
+            h_m1, h_next_m1 = _section_dims(ring, section, k, m + 1, opts)
             if h_m - h_m1 + h_next_m1:
                 break
             cut = (tuple(t for t in g.terms if not t.monomial[k - 1]) for g in section)

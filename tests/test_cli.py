@@ -81,6 +81,12 @@ PARSE_ERRORS = [
     ("ring x\nring y\n", 2, 1, "duplicate ring declaration"),
     ("field QQ\nring\nf = x\n", 2, 6, "ring needs at least one variable"),
     ("ring x y x\n", 1, 6, "duplicate variable names"),
+    # indented declarations: each error points at its token in the raw line
+    ("   field RR\nring x\n", 1, 10, "unknown field 'RR'"),
+    ("  ring x x\n", 1, 8, "duplicate variable names"),
+    ("  ring x\n ring y\n", 2, 2, "duplicate ring declaration"),
+    ("ring x\n   field QQ\n", 2, 4, "field must come before the ring"),
+    ("field QQ\n  ring\n", 2, 8, "ring needs at least one variable"),
     ("field QQ\nf = x\nring x\n", 2, 1, "polynomials must follow a ring declaration"),
     ("ring x\nx + 1\n", 2, 1, "expected 'name = polynomial'"),
     ("# no ring\nfield QQ\n", 1, 1, "missing ring declaration"),
@@ -214,6 +220,24 @@ def test_gb_json_marks_a_partial_basis(capsys):
     rc = main(["gb", "--order", "lex", "--json", CUBIC])
     assert rc == 0
     assert "complete" not in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", ["member", "reduce"])
+def test_member_and_reduce_read_the_basis_through_the_degree_of_poly(command, capsys):
+    # the cubic's lex completion goes past degree 2 (gb exits 2 under a cap
+    # of 2); a polynomial of degree d reads the basis through d only, so a
+    # cap of d or more prints what the uncapped run prints, and a cap below
+    # d that cuts the completion exits 2
+    for poly, d in [("w^2 - x*y + w*z - y^2", 2), ("w*z", 2),
+                    ("w^3 - w*x*y + z^2", 3), ("w*x*y - x^2*z + x", 3)]:
+        argv = [command, "--order", "lex", "--poly", poly, CUBIC]
+        assert main(argv) == 0
+        full = capsys.readouterr().out
+        for cap in (d, d + 1):
+            assert main(argv + ["--degree-cap", str(cap)]) == 0, (poly, cap)
+            assert capsys.readouterr().out == full
+        assert main(argv + ["--degree-cap", str(d - 1)]) == 2, poly
+        assert "degree cap reached" in capsys.readouterr().err
 
 
 def test_hilbert_honors_degree_cap(capsys):

@@ -1,6 +1,7 @@
 """Weight-vector degenerations and the flatness proxy."""
 
 import json
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ from groebner import (
     is_groebner,
     weight_order,
 )
-from groebner.modules import BuchbergerOptions, CapInterrupted
+from groebner.modules import BuchbergerOptions, CapInterrupted, DeadlineExceeded
 
 W_CUBIC = (-16, -4, -1, 0)
 
@@ -84,6 +85,9 @@ def test_flatness_check_pass_and_fail(cubic_lex):
     report2 = flatness_check(truncated)
     assert not report2.passed
     assert report2.first_mismatch_degree == 3
+    # both Hilbert functions complete under the caller's options
+    with pytest.raises(DeadlineExceeded):
+        flatness_check(fam, BuchbergerOptions(deadline=time.monotonic() - 1.0))
 
 
 def test_flatness_of_monomial_ideal_is_constant(ring_qq_lex):

@@ -1,9 +1,12 @@
-"""The public surface: every exported name exists, and the package
-re-exports only names its modules export."""
+"""The public surface: every exported name exists, the package
+re-exports only names its modules export, and every exported call that can
+run long takes the options that carry the degree cap and the deadline."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import textwrap
 from pathlib import Path
 
 import groebner
@@ -34,3 +37,49 @@ def test_star_import():
     namespace = {}
     exec("from groebner import *", namespace)
     assert "buchberger" in namespace and "ideal_quotient_saturation" in namespace
+
+
+# the completion engine, and the echelons that grow with the input outside
+# the budgeted oracle: a call that reaches one of them completes or
+# eliminates, and can run long
+ENGINES = {("modules", "module_buchberger"), ("modules", "minimalize_generators"),
+           ("resolutions", "_section_dims")}
+
+
+def _package_functions():
+    """{function: the package functions its body calls by name}."""
+    graph = {}
+    for name in MODULES:
+        module = importlib.import_module(f"groebner.{name}")
+        for _, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ != module.__name__:
+                continue
+            tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+            called = (getattr(module, node.func.id, None) for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name))
+            graph[fn] = {c for c in called
+                         if inspect.isfunction(c) and c.__module__.startswith("groebner.")}
+    return graph
+
+
+def test_every_exported_call_that_completes_or_eliminates_takes_opts():
+    graph = _package_functions()
+    reaching = {fn for fn in graph if (fn.__module__.rpartition(".")[2], fn.__name__) in ENGINES}
+    assert len(reaching) == len(ENGINES)
+    more = True
+    while more:
+        more = {fn for fn, called in graph.items() if called & reaching} - reaching
+        reaching |= more
+    exported = {}
+    for name in MODULES:
+        module = importlib.import_module(f"groebner.{name}")
+        for n in module.__all__:
+            fn = getattr(module, n)
+            if inspect.isfunction(fn) and fn in reaching:
+                exported[f"{name}.{n}"] = fn
+    assert {"buchberger.buchberger", "ideals.membership", "ideals.hilbert_function",
+            "ideals.sat_defect", "modules.syzygies", "resolutions.bayer_stillman_test",
+            "degeneration.flatness_check"} <= set(exported)
+    missing = [qual for qual, fn in sorted(exported.items())
+               if "opts" not in inspect.signature(fn).parameters]
+    assert missing == []

@@ -35,8 +35,19 @@ from groebner import (
     twisted_cubic,
     weight_order,
 )
-from groebner.ideals import SatDefect, _complete_basis, dehomogenize_polynomial, generic_change
-from groebner.modules import BuchbergerOptions, CapInterrupted
+from groebner.division import divide
+from groebner.ideals import (
+    MembershipCertificate,
+    SatDefect,
+    _complete_basis,
+    _lead_ideal,
+    _numerator,
+    _series_values,
+    dehomogenize_polynomial,
+    generic_change,
+    homogenize_polynomial,
+)
+from groebner.modules import BuchbergerOptions, CapInterrupted, _combine
 from groebner.oracle import ideal_dim_in_degree, membership_in_degree
 from groebner.parser import parse_ideal_file
 
@@ -762,3 +773,114 @@ def test_homogenize_keeps_other_orders(order):
     hx, hy, u = hring.variables()
     assert hgens == [hx * hx + hy * u, hx * hy - u * u]
     assert [str(g) for g in hgens] == ["x^2 + y*u", "x*y - u^2"]
+
+
+# -- homogeneous input completes only through the degree it reads -------------
+
+# (seed, variables, forms, degree): the acceptance suites' shape cycle
+# without its sixth shape, 4 cubics in 4 variables, which takes seconds
+_TRUNCATION_SHAPES = [(1000 + k, 3 + k % 2, 2 + k % 3, 1 + k % 3) for k in range(5)]
+_TRUNCATION_FIELDS = {"Fp": GF(32003), "QQ": QQ, "GF7": GF(7)}
+
+
+def _membership_by_full_completion(g, gens, hgb):
+    """The certificate membership() gave before truncation, read off hgb,
+    the complete basis of the homogenized generators in grevlex with the
+    homogenizer last: the reference for the truncated route."""
+    ring, hring = g.ring, hgb.ring
+    gh = homogenize_polynomial(g, hring)
+    power = hring.one()
+    for _ in range(max(f.lead_monomial[-1] for f in hgb.elements) + 1):
+        div = divide(gh * power, hgb.elements)
+        if div.remainder.is_zero:
+            rows = _combine(hring, div.quotients, hgb.transform, len(gens))
+            coeffs = tuple(dehomogenize_polynomial(c, ring) for c in rows)
+            degs = [a.total_degree() for a in coeffs if not a.is_zero]
+            return MembershipCertificate(True, coeffs, max(degs) if degs else 0)
+        power = power * hring.variable(hring.nvars - 1)
+    return MembershipCertificate(False, (), None)
+
+
+def _forms_up_to(ring, gens, d, rng):
+    """A member of degree d (a random combination of the generators), the
+    member plus a random monomial of degree d, and an inhomogeneous sum of
+    members and a monomial of each degree up to d."""
+    xs = ring.variables()
+
+    def monomial(k):
+        out = ring.one()
+        for _ in range(k):
+            out = out * rng.choice(xs)
+        return out
+
+    def member(k):
+        out = ring.zero()
+        for f in gens:
+            if f.total_degree() <= k:
+                out = out + monomial(k - f.total_degree()).scalar_mul(
+                    ring.field.random_scalar(rng)) * f
+        return out
+
+    g = member(d)
+    mixed = ring.zero()
+    for k in range(d + 1):
+        mixed = mixed + member(k) + monomial(k).scalar_mul(ring.field.random_scalar(rng))
+    return [g, g + monomial(d), mixed]
+
+
+@pytest.mark.parametrize("field_id", list(_TRUNCATION_FIELDS))
+@pytest.mark.parametrize("order", ["grevlex", "lex", "weight"])
+def test_truncated_completion_matches_the_full_one_through_its_degree(field_id, order):
+    field = _TRUNCATION_FIELDS[field_id]
+    rng = random.Random(22)
+    cuts = 0
+    for seed, n_vars, n_gens, degree in _TRUNCATION_SHAPES:
+        spec = {"grevlex": GREVLEX, "lex": LEX,
+                "weight": weight_order(range(n_vars, 0, -1))}[order]
+        ring, gens = random_ideal(seed, n_vars, n_gens, degree, field=field, order=spec)
+        full = buchberger(gens)
+        assert full.complete
+        numerator = _numerator(_lead_ideal(full.elements))
+        hring = ring.with_order(GREVLEX).append_variable("u")
+        hgb = buchberger([homogenize_polynomial(f, hring) for f in gens])
+        for D in range(full.max_degree() + 2):
+            cut = _complete_basis(gens, through=D)
+            cuts += not cut.complete
+            low = sum(1 for f in full.elements if f.total_degree() <= D)
+            assert cut.elements[:low] == full.elements[:low], (seed, D)
+            assert all(f.total_degree() > D for f in cut.elements[low:]), (seed, D)
+            assert cut.transform[:low] == full.transform[:low], (seed, D)
+            assert hilbert_function(gens, D) == _series_values(numerator, n_vars, D)
+            for g in _forms_up_to(ring, gens, D, rng):
+                assert membership(g, gens) == _membership_by_full_completion(g, gens, hgb)
+                if order == "weight" and not g.is_homogeneous():
+                    continue  # a weight order divides homogeneous input only
+                a, b = divide(g, full.elements), divide(g, cut.elements)
+                assert a.remainder == b.remainder
+                assert a.quotients[:low] == b.quotients[:low]
+                assert all(q.is_zero for q in a.quotients[low:] + b.quotients[low:])
+    assert cuts  # the cap bound in some of the cases
+
+
+def test_a_cap_at_or_above_the_degree_read_no_longer_interrupts(cubic_lex):
+    # the twisted cubic's lex basis tops out in degree 3: a cap of 2 cuts the
+    # full completion, but membership in degree 2 and the Hilbert function
+    # through degree 2 read nothing above it
+    ring, gens = cubic_lex
+    w, x, y, z = ring.variables()
+    cap2 = BuchbergerOptions(degree_cap=2)
+    with pytest.raises(CapInterrupted):
+        _complete_basis(gens, opts=cap2)
+    cert = membership(gens[0] + gens[2], gens, cap2)
+    assert cert.member and cert.coefficients == (ring.one(), ring.zero(), ring.one())
+    assert not membership(w * z, gens, cap2).member
+    assert hilbert_function(gens, 2, cap2) == [1, 4, 7]
+    # a cap below the degree read still raises when it cuts the completion
+    with pytest.raises(CapInterrupted):
+        membership(w * gens[1], gens, cap2)
+    with pytest.raises(CapInterrupted):
+        hilbert_function(gens, 3, cap2)
+    # ... and not when the completion ends below it
+    line = [w, x]
+    assert membership(w * x * y, line, BuchbergerOptions(degree_cap=1)).member
+    assert hilbert_function(line, 3, BuchbergerOptions(degree_cap=1)) == [1, 2, 3, 4]

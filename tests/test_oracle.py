@@ -133,11 +133,17 @@ def test_initial_ideal_in_degree_edges(ring_qq_xy):
 
 
 def test_memory_budget_guard(cubic_lex):
-    # 13,485 rows x 5,456 columns, over the 4M-cell budget; refused before
-    # any row is built
+    # the budget counts the entries the sparse rows hold: the twisted cubic
+    # at degree 30 is 13,485 rows x 5,456 columns but only 26,970 entries
     ring, gens = cubic_lex
-    with pytest.raises(MemoryError, match="13485x5456"):
-        macaulay_matrix(gens, 30)
+    mat = macaulay_matrix(gens, 30)
+    assert (len(mat.rows), len(mat.columns)) == (13485, 5456)
+    assert sum(map(len, mat.rows)) == 26970
+    # three dense cubics in 6 variables at degree 20: 3 * 56 * 26,334 entries,
+    # over the 4M budget; refused before any row is built
+    _, dense = random_ideal(1, 6, 3, 3)
+    with pytest.raises(MemoryError, match="4424112 entries"):
+        macaulay_matrix(dense, 20)
 
 
 def test_rank_and_inverse_helpers():

@@ -1,5 +1,7 @@
 """Free resolutions, Betti tables, regularity, and the randomized test."""
 
+import sys
+import time
 import tracemalloc
 from math import comb
 
@@ -26,7 +28,7 @@ from groebner import (
     twisted_cubic,
 )
 from groebner.ideals import generic_change
-from groebner.modules import BuchbergerOptions, CapInterrupted
+from groebner.modules import BuchbergerOptions, CapInterrupted, DeadlineExceeded
 
 
 def test_twisted_cubic_resolution(cubic_grevlex):
@@ -242,6 +244,20 @@ def test_bs_small_field_guard():
     x, y = ring.variables()
     with pytest.raises(ValueError):
         bayer_stillman_test([x * x], 2, trials=30)
+
+
+def test_bs_honors_a_deadline(monkeypatch):
+    ring, gens = twisted_cubic(GF(32003), GREVLEX)
+    past = BuchbergerOptions(deadline=time.monotonic() - 1.0)
+    with pytest.raises(DeadlineExceeded):
+        bayer_stillman_test(gens, 2, opts=past)
+    later = BuchbergerOptions(deadline=time.monotonic() + 3600.0)
+    assert bayer_stillman_test(gens, 2, opts=later) == REGULAR
+    # the section echelons check it too, not only the minimalization
+    resolutions = sys.modules["groebner.resolutions"]
+    monkeypatch.setattr(resolutions, "minimalize_generators", lambda gens, opts: gens)
+    with pytest.raises(DeadlineExceeded):
+        bayer_stillman_test(gens, 2, opts=past)
 
 
 def test_bs_needs_a_trial():
