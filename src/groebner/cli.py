@@ -177,7 +177,7 @@ def _degenerate(ideal, args, opts):
     gens = ideal.generators
     W = [int(w) for w in args.weights.split(",")]
     fam = family_from_generators(gens, W) if args.no_completion else flat_family(gens, W, opts=opts)
-    report = flatness_check(fam)
+    report = flatness_check(fam, opts)
     result = {
         "family": json.loads(fam.to_json()),
         "flat": report.passed,

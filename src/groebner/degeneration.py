@@ -158,7 +158,8 @@ def flatness_check(family: FlatFamily,
     ideal of a completed basis realizes it; any extra central-fiber
     component shows up as a dimension drop in some degree, reported here.
     The fibers are compared in degrees 0 through the top generator degree
-    plus 3, each Hilbert function completed under opts.
+    plus 3, each Hilbert function completed under opts: a cap that cuts
+    either completion below that degree raises CapInterrupted.
     """
     t1 = [g for g in family.generators_at_one() if not g.is_zero]
     t0 = [g for g in family.generators_at_zero() if not g.is_zero]

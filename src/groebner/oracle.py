@@ -19,7 +19,7 @@ the generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 from .orders import OrderSpec
 from .poly import Polynomial, PolynomialRing, mono_mul
@@ -31,7 +31,7 @@ __all__ = [
     "eliahou_kervaire_betti",
 ]
 
-DEFAULT_ENTRY_BUDGET = 4_000_000  # nonzero entries of one Macaulay matrix
+DEFAULT_ENTRY_BUDGET = 4_000_000  # nonzero entries of one Macaulay matrix or echelon
 
 
 def monomials_of_degree(nvars: int, d: int) -> list:
@@ -105,11 +105,20 @@ class Echelon:
     pivot rows kept so far, so a rank needs no back-substitution, and the
     pivots inside a prefix of the columns count the rank of the rows'
     projection onto that prefix.  Stored pivot rows are normalized to lead 1.
+
+    A row fills in as it is reduced, so the rows fed in do not bound what
+    the echelon holds or costs.  Every entry a stored row holds was written
+    either when it was stored or by one pivot-row update, so ``written``,
+    the count of both, bounds the memory and the time of the elimination;
+    with a budget, the update or store that takes it past the budget raises
+    MemoryError.
     """
 
-    def __init__(self, field):
+    def __init__(self, field, budget: int | None = None):
         self.field = field
         self.pivots = {}  # lead column -> row
+        self.budget = budget
+        self.written = 0  # entries stored, plus entries updated in reductions
 
     @property
     def rank(self) -> int:
@@ -124,7 +133,9 @@ class Echelon:
         cancelled is dropped when it comes up as the lead.
         """
         pivots, p = self.pivots, self.field.modulus
-        while row:
+        room = inf if self.budget is None else self.budget - self.written
+        written, rose = 0, False
+        while row and written <= room:
             c = min(row)
             f = row[c] % p if p else row[c]
             if not f:
@@ -134,16 +145,25 @@ class Echelon:
             if pivot is None:
                 inv = self.field.inv(f)
                 pivots[c] = {k: v for k, x in row.items() if (v := x * inv % p if p else x * inv)}
-                return True
+                written += len(pivots[c])
+                rose = True
+                break
             for k, y in pivot.items():
                 row[k] = row.get(k, 0) - f * y
+            written += len(pivot)
             del row[c]
-        return False
+        self.written += written
+        if written > room:
+            raise MemoryError(
+                f"echelon wrote {self.written} entries, over the {self.budget} budget"
+            )
+        return rose
 
 
 def rank_of_rows(rows, field) -> int:
-    """Rank of sparse rows ``{column: coeff}``; the input is untouched."""
-    echelon = Echelon(field)
+    """Rank of sparse rows ``{column: coeff}``; the input is untouched.
+    The elimination writes at most the entry budget (see ``Echelon``)."""
+    echelon = Echelon(field, DEFAULT_ENTRY_BUDGET)
     for row in rows:
         echelon.add(dict(row))
     return echelon.rank
@@ -168,7 +188,7 @@ def membership_in_degree(g: Polynomial, gens) -> bool:
     if not gens:
         return False
     mat = macaulay_matrix(gens, g.total_degree())
-    echelon = Echelon(mat.ring.field)
+    echelon = Echelon(mat.ring.field, DEFAULT_ENTRY_BUDGET)
     for row in mat.rows:
         echelon.add(row)
     index = mat.column_index
@@ -186,7 +206,7 @@ def initial_ideal_in_degree(gens, d: int, order: OrderSpec | None = None) -> lis
     if not gens:
         return []
     mat = macaulay_matrix(gens, d, order=order)
-    echelon = Echelon(mat.ring.field)
+    echelon = Echelon(mat.ring.field, DEFAULT_ENTRY_BUDGET)
     for row in mat.rows:
         echelon.add(row)
     return [mat.columns[c] for c in sorted(echelon.pivots)]

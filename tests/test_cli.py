@@ -332,6 +332,21 @@ def test_degenerate_command(capsys):
     assert texps == [[0, 27], [0, 13], [0, 14], [0, 1]]
 
 
+def test_degenerate_honors_degree_cap_in_the_flatness_report(capsys):
+    # --no-completion completes nothing for the family, but the report's two
+    # Hilbert functions read the fibers through the top degree + 3 = 5 under
+    # the cap: one that cuts them exits 2, one that does not prints what the
+    # uncapped run prints
+    argv = ["degenerate", "--weights=-16,-4,-1,0", "--order", "lex", "--no-completion", CUBIC]
+    assert main(argv) == 0
+    full = capsys.readouterr().out
+    assert main(argv + ["--degree-cap", "3"]) == 2
+    assert "degree cap reached" in capsys.readouterr().err
+    for cap in (4, 5):
+        assert main(argv + ["--degree-cap", str(cap)]) == 0
+        assert capsys.readouterr().out == full
+
+
 def test_mayr_meyer_emits_parseable_file(capsys):
     rc = main(["mayr-meyer", "-n", "1", "--homogeneous"])
     out = capsys.readouterr().out

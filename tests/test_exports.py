@@ -47,36 +47,93 @@ ENGINES = {("modules", "module_buchberger"), ("modules", "minimalize_generators"
 
 
 def _package_functions():
-    """{function: the package functions its body calls by name}."""
-    graph = {}
+    """[(module, function)] for every function and method the package defines."""
+    out = []
     for name in MODULES:
         module = importlib.import_module(f"groebner.{name}")
-        for _, fn in inspect.getmembers(module, inspect.isfunction):
-            if fn.__module__ != module.__name__:
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
                 continue
+            if inspect.isfunction(obj):
+                out.append((module, obj))
+            elif inspect.isclass(obj):
+                for member in vars(obj).values():
+                    fn = member.fget if isinstance(member, property) else member
+                    fn = getattr(fn, "__func__", fn)  # static and class methods
+                    if inspect.isfunction(fn):
+                        out.append((module, fn))
+    return out
+
+
+def _call_graph():
+    """{function: the package functions and methods its body may call}.
+
+    A call by bare name resolves in the function's module (a class to its
+    own __init__ and __post_init__); ``module.name(...)`` resolves in the
+    package module named; any other ``x.name(...)`` stands for every
+    package method called name, since the type of x is unknown.  Calls
+    through values (local aliases, callbacks, table entries, as in the CLI's
+    command table) are not followed, so the graph is a static
+    approximation and the CLI's ``main``, which reaches everything through
+    its table and takes its options as flags, does not enter it.
+    """
+    functions = _package_functions()
+    methods = {}
+    for _, fn in functions:
+        if "." in fn.__qualname__:
+            methods.setdefault(fn.__name__, set()).add(fn)
+    graph = {}
+    for module, fn in functions:
+        try:
             tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
-            called = (getattr(module, node.func.id, None) for node in ast.walk(tree)
-                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name))
-            graph[fn] = {c for c in called
-                         if inspect.isfunction(c) and c.__module__.startswith("groebner.")}
+        except (OSError, TypeError):  # generated, e.g. a dataclass __init__
+            continue
+        called = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                target = getattr(module, f.id, None)
+                if inspect.isclass(target):
+                    called |= {m for m in methods.get("__init__", set()) | methods.get("__post_init__", set())
+                               if m.__qualname__.partition(".")[0] == target.__qualname__
+                               and m.__module__ == target.__module__}
+                else:
+                    called.add(target)
+            elif isinstance(f, ast.Attribute):
+                base = getattr(module, f.value.id, None) if isinstance(f.value, ast.Name) else None
+                if inspect.ismodule(base):
+                    called.add(getattr(base, f.attr, None))
+                else:
+                    called |= methods.get(f.attr, set())
+        graph[fn] = {c for c in called
+                     if inspect.isfunction(c) and c.__module__.startswith("groebner.")}
     return graph
 
 
 def test_every_exported_call_that_completes_or_eliminates_takes_opts():
-    graph = _package_functions()
+    graph = _call_graph()
     reaching = {fn for fn in graph if (fn.__module__.rpartition(".")[2], fn.__name__) in ENGINES}
     assert len(reaching) == len(ENGINES)
     more = True
     while more:
         more = {fn for fn, called in graph.items() if called & reaching} - reaching
         reaching |= more
+    # exported functions, and the public methods of exported classes
     exported = {}
     for name in MODULES:
         module = importlib.import_module(f"groebner.{name}")
         for n in module.__all__:
-            fn = getattr(module, n)
-            if inspect.isfunction(fn) and fn in reaching:
-                exported[f"{name}.{n}"] = fn
+            obj = getattr(module, n)
+            if inspect.isfunction(obj):
+                candidates = {n: obj}
+            elif inspect.isclass(obj):
+                candidates = {f"{n}.{m}": fn for m, fn in inspect.getmembers(obj, inspect.isfunction)
+                              if not m.startswith("_")}
+            else:
+                continue
+            exported |= {f"{name}.{q}": fn for q, fn in candidates.items() if fn in reaching}
     assert {"buchberger.buchberger", "ideals.membership", "ideals.hilbert_function",
             "ideals.sat_defect", "modules.syzygies", "resolutions.bayer_stillman_test",
             "degeneration.flatness_check"} <= set(exported)

@@ -22,6 +22,7 @@ from groebner import (
     monomials_of_degree,
     random_ideal,
 )
+from groebner import oracle
 from groebner.ideals import MonomialIdeal, is_borel_fixed
 from groebner.oracle import (
     Echelon,
@@ -144,6 +145,27 @@ def test_memory_budget_guard(cubic_lex):
     _, dense = random_ideal(1, 6, 3, 3)
     with pytest.raises(MemoryError, match="4424112 entries"):
         macaulay_matrix(dense, 20)
+    # the budget also counts the entries the echelon writes, and binomial
+    # rows barely fill in: H(30) = 91 of the twisted cubic comes out
+    assert ideal_dim_in_degree(gens, 30) == 5456 - 91
+    # at degree 17 the dense rows fit (1,953,504 entries), but they fill in
+    # as they are reduced, toward rank x columns ~ 23,000 x 26,334 entries:
+    # the echelon is refused once it has written 4M
+    with pytest.raises(MemoryError, match="over the 4000000 budget"):
+        ideal_dim_in_degree(dense, 17)
+
+
+def test_every_oracle_echelon_is_budgeted(monkeypatch):
+    # the dense cubics at degree 5 write 14,038 entries
+    _, dense = random_ideal(1, 6, 3, 3)
+    assert ideal_dim_in_degree(dense, 5) == 63
+    monkeypatch.setattr(oracle, "DEFAULT_ENTRY_BUDGET", 10_000)
+    member = dense[0] * dense[0].ring.variable(0) ** 2
+    for oracle_call in (lambda: ideal_dim_in_degree(dense, 5),
+                        lambda: initial_ideal_in_degree(dense, 5),
+                        lambda: membership_in_degree(member, dense)):
+        with pytest.raises(MemoryError, match="over the 10000 budget"):
+            oracle_call()
 
 
 def test_rank_and_inverse_helpers():
