@@ -222,7 +222,8 @@ COMMANDS = {
     "borel": ("Borel-fixedness of the initial ideal", [CAP], _borel),
     "satdefect": ("saturation defect", ["--seed", CAP], _satdefect),
     "degenerate": ("flat family for --weights", ["--weights", "--no-completion", CAP], _degenerate),
-    "bs-regular": ("randomized regularity test at --m", ["--m", "--trials", "--seed"], _bs_regular),
+    "bs-regular": ("randomized regularity test at --m", ["--m", "--trials", "--seed", CAP],
+                   _bs_regular),
 }
 
 

@@ -161,22 +161,25 @@ def _strip_variable(f: Polynomial, var_index: int) -> Polynomial:
 def saturate_variable(gens, opts: BuchbergerOptions | None = None):
     """Reduced grevlex basis of (I : x_n^infinity) for the last variable.
 
-    Under grevlex the last variable divides an element exactly when it
-    divides its lead term, so stripping shared x_n powers from the grevlex
-    basis of I yields a basis of the saturation in one pass; a second
-    completion only reduces it.
+    Under grevlex the last variable divides a homogeneous element exactly
+    when it divides its lead term, so stripping shared x_n powers from the
+    grevlex basis of I yields a basis of the saturation in one pass; a
+    second completion only reduces it.
     """
     gens = [g for g in gens if not g.is_zero]
-    return list(_saturate_last(gens, opts)[1]) if gens else []
+    if not gens:
+        return []
+    return list(_complete_basis(_saturate_last(gens, opts)[1], opts=opts).elements)
 
 
 def _saturate_last(gens, opts):
-    """(grevlex basis of I, reduced basis of (I : x_n^infinity)) for
-    nonzero gens: two completions."""
+    """(grevlex basis of I, the same basis stripped of x_n powers) for
+    nonzero gens: one completion.  For homogeneous I the stripped list is a
+    grevlex basis of (I : x_n^infinity), but not a reduced one: its leads
+    are the stripped leads (see saturate_variable)."""
     gb = _complete_basis(gens, order=GREVLEX, opts=opts)
     last = gb.ring.nvars - 1
-    stripped = [_strip_variable(f, last) for f in gb.elements]
-    return gb.elements, _complete_basis(stripped, opts=opts).elements
+    return gb.elements, [_strip_variable(f, last) for f in gb.elements]
 
 
 def ideal_quotient(gens, f: Polynomial, opts: BuchbergerOptions | None = None):
@@ -511,10 +514,12 @@ def _saturation_forms(field, k, seed):
 
 
 def _generic_saturation(gens, seed: int, opts: BuchbergerOptions | None):
-    """(basis, change, defect, numerator): the reduced grevlex basis of
+    """(basis, change, defect, numerator): a grevlex basis of
     sat I = (I : m^infinity) in the coordinates of change, for nonzero
     homogeneous gens, the defect series {d: dim (sat I / I)_d}, and N_J,
-    the Hilbert-series numerator of S/sat I over (1-t)^n.
+    the Hilbert-series numerator of S/sat I over (1-t)^n.  The basis is the
+    stripped one of _saturate_last, not reduced, so each form tried costs
+    one completion.
 
     sat I = (I : l^infinity) for one general linear form l (Bayer-Stillman),
     and changing the last variable alone makes l that variable.  For any l,
@@ -535,7 +540,7 @@ def _generic_saturation(gens, seed: int, opts: BuchbergerOptions | None):
         # recurrence (1-t)^n sets every later one from the n before it
         series = _series_values(diff, nvars, max(diff, default=-1))
         if not any(series[-nvars:]):
-            return list(sat), change, {d: c for d, c in enumerate(series) if c}, n_j
+            return sat, change, {d: c for d, c in enumerate(series) if c}, n_j
     raise RuntimeError("no general linear form found; the field may be too small")
 
 
@@ -545,10 +550,10 @@ def saturation(gens, seed: int = 0, opts: BuchbergerOptions | None = None):
 
     The saturation is (I : l^infinity) for a seeded general linear form l,
     proved exact by its Hilbert polynomial (see _generic_saturation); its
-    basis is carried back through the inverse change and completed once
-    more, three completions in all.  RuntimeError means no tried form
-    passed (see _saturation_forms): over a small field that happens when
-    every form it has is a zero divisor.
+    stripped basis is carried back through the inverse change and
+    completed once, two completions in all for a form that passes.
+    RuntimeError means no tried form passed (see _saturation_forms): over
+    a small field that happens when every form it has is a zero divisor.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:

@@ -38,6 +38,8 @@ def monomials_of_degree(nvars: int, d: int) -> list:
     """All exponent vectors of total degree d, in no particular order."""
     if d < 0:
         return []
+    if not nvars:
+        return [] if d else [()]
     out = []
 
     def rec(prefix, remaining, slots):

@@ -173,11 +173,13 @@ def parse_ideal_file(text: str, order: OrderSpec = GREVLEX,
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        keyword, _, rest = line.partition(" ")
-        # columns in the raw line: the keyword's, and the first token after it
-        # (or the one past the keyword and its space when none follows)
+        keyword = line.split(None, 1)[0]
+        rest = line[len(keyword):]
+        # columns in the raw line: the keyword's, and the first token after
+        # the whitespace that follows it (or the one past the keyword when
+        # none follows)
         start = len(raw) - len(raw.lstrip()) + 1
-        arg = start + len(keyword) + 1 + len(rest) - len(rest.lstrip())
+        arg = start + len(keyword) + max(1, len(rest) - len(rest.lstrip()))
         if keyword == "field":
             if ring is not None:
                 raise ParseError("field must come before the ring", line_no, start)

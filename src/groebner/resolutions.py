@@ -12,8 +12,10 @@ homological step, with the resolved object sitting at step 0.  The
 randomized test checks the same number by the Bayer–Stillman criterion, one
 general hyperplane section at a time: a seeded substitution makes the next
 general linear form a variable, and setting that variable to zero cuts the
-ring by one.  Each section needs only the dimensions of two degree slices,
-read off the pivots of one sparse echelon per degree.
+ring by one.  Each section needs only the dimensions of two degree slices.
+A change of coordinates keeps them, so those of the ideal come once from its
+Hilbert function, and those of each cut from the rank of one sparse echelon
+per degree in the variables left.
 """
 
 from __future__ import annotations
@@ -184,17 +186,13 @@ def regularity(res: FreeResolution) -> int:
 # randomized regularity test
 # ---------------------------------------------------------------------------
 
-def _section_dims(ring, gens, k: int, d: int, opts: BuchbergerOptions) -> tuple:
-    """(dim (S/I)_d, dim (S/(I, x_{k-1}))_d) for S the ring of the first k
-    variables and I generated by gens, which lie in S.  One echelon holds the
-    degree-d multiples, its columns the monomials free of x_{k-1} first; a
-    stored row starts at its smallest column, so the pivots inside that
-    prefix count the rank of the projection x_{k-1} = 0.  The deadline of
+def _quotient_dim(ring, gens, k: int, d: int, opts: BuchbergerOptions) -> int:
+    """dim (S/I)_d for S the ring of the first k variables and I generated
+    by gens, which lie in S: the degree-d monomials of S less the rank of
+    one echelon of the generators' degree-d multiples.  The deadline of
     opts is checked as each row is added."""
     pad = (0,) * (ring.nvars - k)
-    columns = sorted((e + pad for e in monomials_of_degree(k, d)), key=lambda e: e[k - 1] > 0)
-    index = {e: i for i, e in enumerate(columns)}
-    free = sum(1 for e in columns if not e[k - 1])
+    index = {e + pad: i for i, e in enumerate(monomials_of_degree(k, d))}
     echelon = Echelon(ring.field)
     for g in gens:
         terms = [(t.monomial, t.coeff) for t in g.terms]
@@ -202,8 +200,7 @@ def _section_dims(ring, gens, k: int, d: int, opts: BuchbergerOptions) -> tuple:
             opts.check_deadline()
             mono += pad
             echelon.add({index[mono_mul(e, mono)]: c for e, c in terms})
-    in_prefix = sum(1 for c in echelon.pivots if c < free)
-    return len(columns) - echelon.rank, free - in_prefix
+    return len(index) - echelon.rank
 
 
 def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0,
@@ -219,8 +216,11 @@ def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0,
     x_{k-1} = 0 for the next step.  With h_j(d) = dim (S/I_j)_d, a step
     passes the trial when h_j(m) = 0 and fails it when
     h_j(m) - h_j(m+1) + h_{j+1}(m+1), the dimension of ((I_j : x)/I_j)_m,
-    is not 0.  The four numbers come from two echelons of the generators'
-    multiples, in degrees m and m+1, each read once.
+    is not 0.  A change of coordinates keeps each h_j, so h_0(m) and
+    h_0(m+1) come once per call from the Hilbert function of I, and each
+    step reads h_{j+1}(m+1), then h_{j+1}(m) only when the trial goes on,
+    off one echelon of the cut generators' multiples in the k-1 variables
+    left; they are the next step's h_j.
 
     Any passing trial certifies m-regularity.  A failure is
     order-independent when it comes from the generator degrees; otherwise
@@ -228,9 +228,10 @@ def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0,
     passing forms fill a Zariski-open set.  Over a small field the verdict
     is then INCONCLUSIVE.
 
-    No completion runs, so a degree cap in opts has nothing to cut; its
-    deadline is checked in the generator minimalization and as each row
-    joins an echelon.
+    The Hilbert function completes a basis of I through degree m+1, so a
+    degree cap in opts below m+1 that cuts it raises CapInterrupted; the
+    deadline is checked in the generator minimalization, the completion
+    and as each row joins an echelon.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -252,22 +253,27 @@ def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0,
     if small_field and trials > field.modulus:
         raise ValueError("field too small for the requested number of trials")
 
+    from .ideals import hilbert_function  # ideals imports this module
+
+    h = hilbert_function(min_gens, m + 1, opts)
+    if not h[m]:
+        return REGULAR
+    # m >= 1 from here on, so the last step, which cuts to no variable at
+    # all, reads h(m) = 0 and passes the trial
     for trial in range(trials):
         rng = random.Random(seed * 1000003 + trial)
-        section = min_gens
+        section, h_m, h_m1 = min_gens, h[m], h[m + 1]
         for k in range(ring.nvars, 0, -1):
             coeffs = [field.random_scalar(rng) for _ in range(k - 1)]
             change = last_variable_change(ring, k, coeffs)
-            section = [change.apply(g) for g in section]
-            h_m, _ = _section_dims(ring, section, k, m, opts)
-            if h_m == 0:
-                return REGULAR
-            h_m1, h_next_m1 = _section_dims(ring, section, k, m + 1, opts)
-            if h_m - h_m1 + h_next_m1:
-                break
-            cut = (tuple(t for t in g.terms if not t.monomial[k - 1]) for g in section)
+            cut = (tuple(t for t in change.apply(g).terms if not t.monomial[k - 1])
+                   for g in section)
             section = [Polynomial(ring, terms) for terms in cut if terms]
-        else:
-            return REGULAR  # no variable is left, and m >= 1 here
+            h_next = _quotient_dim(ring, section, k - 1, m + 1, opts)
+            if h_m - h_m1 + h_next:
+                break
+            h_m, h_m1 = _quotient_dim(ring, section, k - 1, m, opts), h_next
+            if not h_m:
+                return REGULAR
 
     return INCONCLUSIVE if small_field else NOT_REGULAR

@@ -39,3 +39,23 @@ def cubic_grevlex():
 @pytest.fixture
 def ring_fp():
     return PolynomialRing(GF(32003), ["x0", "x1", "x2"], GREVLEX)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Spy on the completion engine at every binding the package reaches it
+    through: the list grows by one per call."""
+    from groebner import modules
+
+    # the package's buchberger() function shadows its submodule's name
+    buchberger_module = sys.modules["groebner.buchberger"]
+    calls = []
+    inner = modules.module_buchberger
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(modules, "module_buchberger", spy)
+    monkeypatch.setattr(buchberger_module, "module_buchberger", spy)
+    return calls

@@ -90,6 +90,9 @@ PARSE_ERRORS = [
     ("field QQ\nf = x\nring x\n", 2, 1, "polynomials must follow a ring declaration"),
     ("ring x\nx + 1\n", 2, 1, "expected 'name = polynomial'"),
     ("# no ring\nfield QQ\n", 1, 1, "missing ring declaration"),
+    # a tab, or a run of blanks, ends a declaration's keyword as a space does
+    ("field\tRR\nring x\n", 1, 7, "unknown field 'RR'"),
+    ("field \t QQ\nring\tx x\n", 2, 6, "duplicate variable names"),
 ]
 
 
@@ -99,6 +102,14 @@ def test_parse_errors_carry_position():
             parse_ideal_file(text)
         assert (err.value.line, err.value.column) == (line, column), text
         assert str(err.value).startswith(f"line {line}, column {column}: "), text
+
+
+def test_declarations_split_at_any_whitespace():
+    for text in ("field\tQQ\nring\tx y\nf = x*y\n", "field  QQ\nring \t x  y\nf = x*y\n"):
+        ideal = parse_ideal_file(text)
+        assert ideal.ring.names == ("x", "y") and ideal.ring.field == QQ
+        x, y = ideal.ring.variables()
+        assert ideal.generators == [x * y]
 
 
 def test_empty_polynomial_list_is_zero_ideal():
@@ -258,7 +269,7 @@ def test_flags_are_registered_only_where_read(capsys):
     with pytest.raises(SystemExit):
         main(["gb", "--seed", "1", CUBIC])
     with pytest.raises(SystemExit):
-        main(["bs-regular", "--m", "2", "--degree-cap", "3", CUBIC])
+        main(["hilbert", "--m", "2", CUBIC])
     capsys.readouterr()
 
 
@@ -393,6 +404,20 @@ def test_bs_regular_command(capsys):
     rc = main(["bs-regular", "--m", "2", "--field", "Fp:32003", CUBIC])
     out = capsys.readouterr().out.strip()
     assert rc == 0 and out == "regular"
+
+
+def test_bs_regular_honors_degree_cap(capsys):
+    # the test reads the Hilbert function of the cubic through degree
+    # m+1 = 3: a cap of 2 cuts that completion and exits 2, and a cap of 3
+    # or more prints what the uncapped run prints
+    argv = ["bs-regular", "--m", "2", "--field", "Fp:32003", CUBIC]
+    assert main(argv) == 0
+    full = capsys.readouterr().out
+    assert main(argv + ["--degree-cap", "2"]) == 2
+    assert "degree cap reached" in capsys.readouterr().err
+    for cap in (3, 4):
+        assert main(argv + ["--degree-cap", str(cap)]) == 0
+        assert capsys.readouterr().out == full
 
 
 def test_bs_regular_unit_ideal_at_zero(tmp_path, capsys):

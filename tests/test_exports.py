@@ -43,7 +43,7 @@ def test_star_import():
 # the budgeted oracle: a call that reaches one of them completes or
 # eliminates, and can run long
 ENGINES = {("modules", "module_buchberger"), ("modules", "minimalize_generators"),
-           ("resolutions", "_section_dims")}
+           ("resolutions", "_quotient_dim")}
 
 
 def _package_functions():

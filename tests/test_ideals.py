@@ -326,27 +326,7 @@ def test_membership_under_a_weight_order():
     assert not membership(x, gens).member
 
 
-def _count_engine_calls(monkeypatch):
-    """Spy on the completion engine at every binding the package reaches it
-    through; returns the list that grows by one per call."""
-    from groebner import modules
-
-    # the package's buchberger() function shadows its submodule's name
-    buchberger_module = sys.modules["groebner.buchberger"]
-    calls = []
-    inner = modules.module_buchberger
-
-    def spy(*args, **kwargs):
-        calls.append(None)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(modules, "module_buchberger", spy)
-    monkeypatch.setattr(buchberger_module, "module_buchberger", spy)
-    return calls
-
-
-def test_membership_completes_once(monkeypatch):
-    calls = _count_engine_calls(monkeypatch)
+def test_membership_completes_once(engine_calls):
     ring = PolynomialRing(QQ, ["x", "y"], GREVLEX)
     x, y = ring.variables()
     for g, gens, member in [
@@ -354,9 +334,9 @@ def test_membership_completes_once(monkeypatch):
         (x, [x * y - 1], False),
         (x * x * y, [x * x + y * y, x * y], True),
     ]:
-        calls.clear()
+        engine_calls.clear()
         assert membership(g, gens).member is member
-        assert len(calls) == 1
+        assert len(engine_calls) == 1
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "Fp"])
@@ -568,7 +548,7 @@ def test_coordinate_change_shares_its_tables(field):
     assert "_forward" not in repr(change)
 
 
-def test_sat_defect_stays_in_generic_coordinates(monkeypatch):
+def test_sat_defect_stays_in_generic_coordinates(monkeypatch, engine_calls):
     from groebner import free_resolution, oracle
     from groebner.ideals import CoordinateChange
 
@@ -583,23 +563,22 @@ def test_sat_defect_stays_in_generic_coordinates(monkeypatch):
     _, gens = random_ideal(1502, 4, 3, 2)
     x = gens[0].ring.variables()
     gens = [g * v for g in gens for v in x[:2]]
-    calls = _count_engine_calls(monkeypatch)
     free_resolution(gens)
-    reference = len(calls)
+    reference = len(engine_calls)
     saturation(gens, seed=5)
-    saturation_calls = len(calls) - reference
-    # a general first form: one variable saturation of two completions,
-    # then one completion in the original coordinates
-    assert saturation_calls == 3
+    saturation_calls = len(engine_calls) - reference
+    # a general first form: one completion, whose stripped basis is the
+    # saturation's, then one completion in the original coordinates
+    assert saturation_calls == 2
 
     def no_unapply(self, f):
         raise AssertionError("sat_defect carried the saturation back")
 
     monkeypatch.setattr(CoordinateChange, "unapply", no_unapply)
-    calls.clear()
+    engine_calls.clear()
     sd = sat_defect(gens, seed=5)
     assert sd.total > 0
-    assert len(calls) == reference + saturation_calls - 1
+    assert len(engine_calls) == reference + saturation_calls - 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -709,22 +688,21 @@ class _Resolved(Exception):
     pass
 
 
-def test_sat_defect_resolves_only_when_the_saturation_is_not_points(monkeypatch):
+def test_sat_defect_resolves_only_when_the_saturation_is_not_points(monkeypatch, engine_calls):
     def no_resolution(*args, **kwargs):
         raise _Resolved
 
     monkeypatch.setattr(sys.modules["groebner.ideals"], "free_resolution", no_resolution)
-    calls = _count_engine_calls(monkeypatch)
     # 4 cubics in 4 variables are m-primary, sat I = S; 3 quadrics cut out
     # 8 points and are saturated.  Complete intersections: reg I = 1 + sum
     # (d_i - 1), and the m-primary defect is all of S/I, 3^4 = 81
     for shape, total, reg in [((4, 4, 3), 81, 9), ((4, 3, 2), 0, 4)]:
         _, gens = random_ideal(1600, *shape)
-        calls.clear()
+        engine_calls.clear()
         sd = sat_defect(gens, seed=5)
         assert (sd.total, sd.regularity) == (total, reg)
-        # the two completions of _saturate_last for the seeded form, no more
-        assert len(calls) == 2
+        # the one completion of _saturate_last for the seeded form, no more
+        assert len(engine_calls) == 1
     # the twisted cubic, a curve, and (x0, x1) G, whose saturation cuts out a
     # line and points, still resolve
     _, gens = random_ideal(1502, 4, 3, 2)
@@ -737,10 +715,9 @@ def test_sat_defect_resolves_only_when_the_saturation_is_not_points(monkeypatch)
 # -- edge cases of membership and homogenization ------------------------------
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "Fp"])
-def test_membership_in_the_zero_ideal(field, monkeypatch):
+def test_membership_in_the_zero_ideal(field, engine_calls):
     ring = PolynomialRing(field, ["x", "y"], GREVLEX)
     x, y = ring.variables()
-    calls = _count_engine_calls(monkeypatch)
     cert = membership(ring.zero(), [ring.zero(), ring.zero()])
     assert cert.member
     assert cert.coefficients == (ring.zero(), ring.zero())
@@ -750,7 +727,7 @@ def test_membership_in_the_zero_ideal(field, monkeypatch):
     assert not cert.member
     assert cert.coefficients == ()
     assert cert.max_coeff_degree is None
-    assert not calls
+    assert not engine_calls
 
 
 def test_homogenize_under_a_weight_order():

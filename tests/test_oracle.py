@@ -86,6 +86,9 @@ def test_monomial_enumeration_counts():
         assert len(set(monos)) == len(monos)
     assert monomials_of_degree(3, 0) == [(0, 0, 0)]
     assert monomials_of_degree(3, -1) == []
+    # no variable: the empty vector in degree 0, and nothing above it
+    assert monomials_of_degree(0, 0) == [()]
+    assert monomials_of_degree(0, 2) == []
 
 
 def test_dimension_examples(cubic_lex):

@@ -1,5 +1,6 @@
 """Free resolutions, Betti tables, regularity, and the randomized test."""
 
+import random
 import sys
 import time
 import tracemalloc
@@ -29,6 +30,9 @@ from groebner import (
 )
 from groebner.ideals import generic_change
 from groebner.modules import BuchbergerOptions, CapInterrupted, DeadlineExceeded
+from groebner.oracle import Echelon, monomials_of_degree
+from groebner.poly import Polynomial, last_variable_change, mono_mul
+from groebner.resolutions import INCONCLUSIVE
 
 
 def test_twisted_cubic_resolution(cubic_grevlex):
@@ -206,6 +210,91 @@ def test_bs_agrees_with_resolution_on_seeds():
                 assert bayer_stillman_test(gens, m, seed=7) == expected, (field, name, m)
 
 
+def _section_dims(ring, gens, k, d):
+    """(dim (S/I)_d, dim (S/(I, x_{k-1}))_d) for S the ring of the first k
+    variables: one echelon of the degree-d multiples, with the monomials
+    free of x_{k-1} as its first columns, whose pivots inside that prefix
+    count the rank of the projection x_{k-1} = 0."""
+    pad = (0,) * (ring.nvars - k)
+    columns = sorted((e + pad for e in monomials_of_degree(k, d)), key=lambda e: e[k - 1] > 0)
+    index = {e: i for i, e in enumerate(columns)}
+    free = sum(1 for e in columns if not e[k - 1])
+    echelon = Echelon(ring.field)
+    for g in gens:
+        terms = [(t.monomial, t.coeff) for t in g.terms]
+        for mono in monomials_of_degree(k, d - g.total_degree()):
+            echelon.add({index[mono_mul(e, mono + pad)]: c for e, c in terms})
+    in_prefix = sum(1 for c in echelon.pivots if c < free)
+    return len(columns) - echelon.rank, free - in_prefix
+
+
+def _two_echelon_test(gens, m, trials=3, seed=0):
+    """bayer_stillman_test as it read all four dimensions of every step off
+    two echelons in the k variables of that step, with the same draws: the
+    reference for the route through the Hilbert function."""
+    ring, field = gens[0].ring, gens[0].ring.field
+    min_gens = minimalize_generators(gens)
+    if max(g.total_degree() for g in min_gens) > m:
+        return NOT_REGULAR
+    for trial in range(trials):
+        rng = random.Random(seed * 1000003 + trial)
+        section = min_gens
+        for k in range(ring.nvars, 0, -1):
+            coeffs = [field.random_scalar(rng) for _ in range(k - 1)]
+            change = last_variable_change(ring, k, coeffs)
+            section = [change.apply(g) for g in section]
+            h_m, _ = _section_dims(ring, section, k, m)
+            if h_m == 0:
+                return REGULAR
+            h_m1, h_next_m1 = _section_dims(ring, section, k, m + 1)
+            if h_m - h_m1 + h_next_m1:
+                break
+            cut = (tuple(t for t in g.terms if not t.monomial[k - 1]) for g in section)
+            section = [Polynomial(ring, terms) for terms in cut if terms]
+        else:
+            return REGULAR
+    small_field = field.kind == "prime-field" and field.modulus < 100
+    return INCONCLUSIVE if small_field else NOT_REGULAR
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(32003), QQ],
+                         ids=["GF2", "GF3", "GF5", "GF32003", "QQ"])
+def test_bs_matches_the_two_echelon_loop(field):
+    # raw and generic coordinates, m from one below the top generator degree
+    # to reg + 1: over a small field trials are capped at q, and the
+    # failing verdicts there are INCONCLUSIVE on both sides
+    trials = min(3, field.modulus or 3)
+    for name, gens in _bs_cases(field):
+        reg = regularity(free_resolution(gens))
+        top = max(g.total_degree() for g in minimalize_generators(gens))
+        for m in range(top - 1, reg + 2):
+            for seed in (0, 7):
+                expected = _two_echelon_test(gens, m, trials, seed)
+                assert bayer_stillman_test(gens, m, trials, seed) == expected, (name, m, seed)
+
+
+def test_bs_completes_once_whatever_the_trials(monkeypatch, engine_calls):
+    # (xy, z^3) is a complete intersection of regularity 4, generated in
+    # degrees <= 3, so at m = 3 every trial runs and fails
+    ideals_module = sys.modules["groebner.ideals"]
+    hilbert_calls, hilbert = [], ideals_module.hilbert_function
+
+    def hilbert_spy(*args, **kwargs):
+        hilbert_calls.append(None)
+        return hilbert(*args, **kwargs)
+
+    monkeypatch.setattr(ideals_module, "hilbert_function", hilbert_spy)
+    ring = PolynomialRing(GF(32003), ["x", "y", "z"], GREVLEX)
+    x, y, z = ring.variables()
+    assert regularity(free_resolution([x * y, z ** 3])) == 4
+    for trials in (1, 3, 5):
+        engine_calls.clear()
+        hilbert_calls.clear()
+        assert bayer_stillman_test([x * y, z ** 3], 3, trials) == NOT_REGULAR
+        assert (len(engine_calls), len(hilbert_calls)) == (1, 1), trials
+        assert bayer_stillman_test([x * y, z ** 3], 4, trials) == REGULAR
+
+
 def test_bs_unit_ideal():
     # 1 has regularity 0 and passes at once; every other nonzero ideal
     # fails at m = 0 on its generator degrees
@@ -218,9 +307,10 @@ def test_bs_unit_ideal():
 
 def test_bs_on_the_level_one_tower():
     # regularity 11; the degree-6 slice in eleven variables has 8,008
-    # columns, and the test needs no dense change of coordinates
+    # columns, and the test needs no dense change of coordinates; the two
+    # echelons per step of the reference give the same verdict
     ring, gens = mayr_meyer(1, homogeneous=True, field=GF(32003))
-    assert bayer_stillman_test(gens, 5) == NOT_REGULAR
+    assert bayer_stillman_test(gens, 5) == _two_echelon_test(gens, 5) == NOT_REGULAR
 
 
 def test_bs_keeps_rows_sparse_in_many_variables():
@@ -253,9 +343,13 @@ def test_bs_honors_a_deadline(monkeypatch):
         bayer_stillman_test(gens, 2, opts=past)
     later = BuchbergerOptions(deadline=time.monotonic() + 3600.0)
     assert bayer_stillman_test(gens, 2, opts=later) == REGULAR
-    # the section echelons check it too, not only the minimalization
+    # the section echelons check it too, not only the minimalization and
+    # the completion behind the Hilbert function
     resolutions = sys.modules["groebner.resolutions"]
+    ideals_module = sys.modules["groebner.ideals"]
+    hilbert = ideals_module.hilbert_function
     monkeypatch.setattr(resolutions, "minimalize_generators", lambda gens, opts: gens)
+    monkeypatch.setattr(ideals_module, "hilbert_function", lambda gens, d, opts: hilbert(gens, d))
     with pytest.raises(DeadlineExceeded):
         bayer_stillman_test(gens, 2, opts=past)
 
