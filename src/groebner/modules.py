@@ -6,6 +6,13 @@ how it made each basis element, and the basis replays those records into
 transformation rows over the input generators when first read, which is
 what powers membership certificates and syzygy pushforward.
 
+The engine shares finished runs: a call on generators equal to those of a
+run still held, under a cap that run answers (module_buchberger says
+which), returns a new result over the same elements and records instead
+of completing again.  Membership, syzygies, Hilbert functions and
+resolutions each complete the lists they are given, and callers often
+give the same list twice; the second call costs a lookup.
+
 One S-pair lift, ``_lift_spair``, serves the completion, the Groebner check
 and the Schreyer syzygies: it divides the S-element of a pair through the
 list once and returns the remainder with the coefficient vector writing it
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import time
+import weakref
 from dataclasses import dataclass
 from itertools import groupby, islice
 from math import gcd
@@ -482,25 +490,59 @@ class BuchbergerOptions:
             raise DeadlineExceeded("completion exceeded its time budget")
 
 
+class _Completion:
+    """One finished run of module_buchberger, shared by every result over
+    equal generators: the reduced elements, whether the run completed, the
+    cap it ran under, its highest treated pair degree (None when it treated
+    none) and its records, replayed into transform rows on first read and
+    then dropped."""
+
+    __slots__ = ("elements", "complete", "cap", "top", "_records", "_rows", "__weakref__")
+
+    def __init__(self, elements, complete, cap, top, history, reduction):
+        self.elements = elements
+        self.complete = complete
+        self.cap = cap
+        self.top = top
+        self._records = (history, reduction)
+        self._rows = None
+
+    def serves(self, cap) -> bool:
+        """Whether this run is the one a request under cap would make."""
+        return self.cap == cap or self.complete and (
+            cap is None or self.top is None or self.top <= cap
+        )
+
+    def rows(self, ring, width):
+        if self._rows is None:
+            self._rows = _replay(ring, width, *self._records)
+            self._records = None
+        return self._rows
+
+
+# generators -> the completion that serves them, while a result holds it
+_completions = weakref.WeakValueDictionary()
+_latest = None  # the last completion made or served, kept alive for the next call
+
+
 class ModuleGroebnerBasis:
     """Completion output: monic basis elements, and transform rows writing
     each element as a combination of the original generators.  The rows
-    are replayed from the completion's records on first read and kept; the
-    records are then dropped."""
+    are replayed from the completion's records on first read, once for
+    every result that shares the completion; each result has its own lists."""
 
-    def __init__(self, module, elements, generators, complete, history, reduction):
+    def __init__(self, module, generators, completion: _Completion):
         self.module = module
-        self.elements = list(elements)
+        self.elements = list(completion.elements)
         self.generators = list(generators)
-        self.complete = complete
-        self._records = (history, reduction)
+        self.complete = completion.complete
+        self._completion = completion
         self._transform = None
 
     @property
     def transform(self):
         if self._transform is None:
-            self._transform = _replay(self.module.ring, len(self.generators), *self._records)
-            self._records = None
+            self._transform = list(self._completion.rows(self.module.ring, len(self.generators)))
         return self._transform
 
     def __len__(self):
@@ -599,7 +641,21 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None) -> ModuleGroe
     Pairs are pruned by the Gebauer–Möller update (the coprime rule for
     ideals only) and treated by ascending (degree, i, j) from a heap.
     Under opts.degree_cap the loop stops at the first pair above the cap.
+
+    A finished run is shared.  After the input checks and one deadline
+    check, the generators (compared by value: module, ring, order, shifts
+    and terms) are looked up among the runs still held.  A run serves the
+    request when it ran under the same cap, or when it completed and
+    treated no pair above the requested cap (or none was requested): the
+    pairs leave the heap in an order the generators fix, and a capped run
+    stops only at a pair above its cap, so that run would treat the same
+    pairs and stop nowhere.  A deadline never changes a finished result,
+    so it is not compared.  A run stays findable while some result over it
+    is held, and the latest run made or served stays held until the next
+    call.  Each call returns its own result object; the elements and the
+    transform rows, replayed once, are shared.
     """
+    global _latest
     gens = list(gens)
     if not gens:
         raise ValueError("cannot complete an empty generating list")
@@ -619,6 +675,12 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None) -> ModuleGroe
                     "weight orders are only total degree by degree; "
                     "generators must be homogeneous"
                 )
+    opts.check_deadline()
+    key, cap = tuple(gens), opts.degree_cap
+    done = _completions.get(key)
+    if done is not None and done.serves(cap):
+        _latest = done
+        return ModuleGroebnerBasis(module, gens, done)
 
     product_rule = module.rank == 1
 
@@ -653,7 +715,7 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None) -> ModuleGroe
         append_element(g, idx)
 
     complete = True
-    cap = opts.degree_cap
+    top = None  # highest degree of a treated pair
     while pending:
         opts.check_deadline()
         degree, i, j = heapq.heappop(heap)
@@ -663,13 +725,15 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None) -> ModuleGroe
         if cap is not None and degree > cap:
             complete = False
             break  # every pair left on the heap is above the cap too
+        top = degree if top is None else max(top, degree)
 
         rem, coeffs = _lift_spair(basis, leads, i, j, opts)
         if not rem.is_zero:
             append_element(rem, [(k, c) for k, c in enumerate(coeffs) if not c.is_zero])
 
     basis, reduction = _interreduce(module, basis, opts)
-    return ModuleGroebnerBasis(module, basis, gens, complete, history, reduction)
+    done = _completions[key] = _latest = _Completion(basis, complete, cap, top, history, reduction)
+    return ModuleGroebnerBasis(module, gens, done)
 
 
 def _replay(ring, width, history, reduction):

@@ -5,13 +5,13 @@ generator landing in degree d and one column per degree-d monomial.  Its
 row space is the degree-d slice of the ideal, so ranks answer dimension and
 membership questions without any Groebner machinery.  The rows are sparse
 ``{column: coeff}`` dicts built from the generators' terms, and the one
-elimination is ``Echelon``: rows fed in one at a time, each reduced at its
-leading column against the pivot rows kept so far.  Its pivots give ranks,
-membership, initial ideals in a degree (columns sorted descending in the
-order) and, with a back-substitution, matrix inverses.  The tests use it
-as ground truth.  The generic-forms regularity test and
-``modules.minimalize_generators`` grow an ``Echelon`` row by row, since
-they need nothing but ranks and pivot positions.  Stable monomial ideals
+elimination is ``Echelon``: rows fed in one at a time as they are built,
+each reduced at its leading column against the pivot rows kept so far.
+Its pivots give ranks, membership, initial ideals in a degree (columns
+sorted descending in the order) and, with a back-substitution, matrix
+inverses.  The tests use it as ground truth.  The generic-forms regularity
+test and ``modules.minimalize_generators`` grow an ``Echelon`` row by row,
+since they need nothing but ranks and pivot positions.  Stable monomial ideals
 need not even that: ``eliahou_kervaire_betti`` reads their Betti tables off
 the generators.
 """
@@ -65,12 +65,17 @@ class MacaulayMatrix:
     columns: list     # degree-d monomials, descending under the column order
     rows: list        # sparse rows {column: coeff}, nonzero entries only
 
-    @property
-    def column_index(self):
-        return {m: i for i, m in enumerate(self.columns)}
-
 
 def macaulay_matrix(gens, d: int, order: OrderSpec | None = None) -> MacaulayMatrix:
+    ring, index, rows = _macaulay_rows(gens, d, order)
+    return MacaulayMatrix(ring, d, list(index), list(rows))
+
+
+def _macaulay_rows(gens, d: int, order: OrderSpec | None = None):
+    """(ring, column index, rows) of the degree-d Macaulay matrix.  The
+    index maps each degree-d monomial to its column, in descending order;
+    rows is a _MacaulayRows.  The generators are checked and the rows'
+    entries budgeted before any row is built."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise ValueError("need at least one nonzero generator")
@@ -78,26 +83,36 @@ def macaulay_matrix(gens, d: int, order: OrderSpec | None = None) -> MacaulayMat
     for g in gens:
         if not g.is_homogeneous():
             raise ValueError("Macaulay matrices need homogeneous generators")
-    columns = sorted_monomials(ring, d, order)
-    col_index = {m: i for i, m in enumerate(columns)}
-
+    index = {m: i for i, m in enumerate(sorted_monomials(ring, d, order))}
+    rows = _MacaulayRows([g for g in gens if g.total_degree() <= d], d, index, ring.nvars)
     # each multiple of g is one sparse row holding as many entries as g has terms
-    entries = sum(
-        len(g.terms) * comb(d - g.total_degree() + ring.nvars - 1, ring.nvars - 1)
-        for g in gens
-        if g.total_degree() <= d
-    )
+    entries = sum(len(g.terms) * k for g, k in zip(rows.gens, rows.counts))
     if entries > DEFAULT_ENTRY_BUDGET:
         raise MemoryError(
             f"Macaulay matrix would hold {entries} entries, "
             f"over the {DEFAULT_ENTRY_BUDGET} budget"
         )
-    rows = [
-        {col_index[mono_mul(t.monomial, m)]: t.coeff for t in g.terms}
-        for g in gens if g.total_degree() <= d
-        for m in monomials_of_degree(ring.nvars, d - g.total_degree())
-    ]
-    return MacaulayMatrix(ring, d, columns, rows)
+    return ring, index, rows
+
+
+class _MacaulayRows:
+    """The sparse rows {column: coeff} of a Macaulay matrix, one per
+    monomial multiple of each generator, built one at a time as they are
+    read; a second read builds them again.  len() counts them without
+    building any, so the benchmark's trace can size rank_of_rows' input."""
+
+    def __init__(self, gens, d, index, nvars):
+        self.gens, self.d, self.index, self.nvars = gens, d, index, nvars
+        self.counts = [comb(d - g.total_degree() + nvars - 1, nvars - 1) for g in gens]
+
+    def __len__(self):
+        return sum(self.counts)
+
+    def __iter__(self):
+        index = self.index
+        for g in self.gens:
+            for m in monomials_of_degree(self.nvars, self.d - g.total_degree()):
+                yield {index[mono_mul(t.monomial, m)]: t.coeff for t in g.terms}
 
 
 class Echelon:
@@ -165,10 +180,15 @@ class Echelon:
 def rank_of_rows(rows, field) -> int:
     """Rank of sparse rows ``{column: coeff}``; the input is untouched.
     The elimination writes at most the entry budget (see ``Echelon``)."""
+    return _budgeted_echelon(field, map(dict, rows)).rank
+
+
+def _budgeted_echelon(field, rows) -> Echelon:
+    """An Echelon under the entry budget that has consumed the rows."""
     echelon = Echelon(field, DEFAULT_ENTRY_BUDGET)
     for row in rows:
-        echelon.add(dict(row))
-    return echelon.rank
+        echelon.add(row)
+    return echelon
 
 
 def ideal_dim_in_degree(gens, d: int) -> int:
@@ -176,8 +196,8 @@ def ideal_dim_in_degree(gens, d: int) -> int:
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return 0
-    mat = macaulay_matrix(gens, d)
-    return rank_of_rows(mat.rows, mat.ring.field)
+    ring, _, rows = _macaulay_rows(gens, d)
+    return rank_of_rows(rows, ring.field)
 
 
 def membership_in_degree(g: Polynomial, gens) -> bool:
@@ -189,11 +209,8 @@ def membership_in_degree(g: Polynomial, gens) -> bool:
     gens = [f for f in gens if not f.is_zero]
     if not gens:
         return False
-    mat = macaulay_matrix(gens, g.total_degree())
-    echelon = Echelon(mat.ring.field, DEFAULT_ENTRY_BUDGET)
-    for row in mat.rows:
-        echelon.add(row)
-    index = mat.column_index
+    ring, index, rows = _macaulay_rows(gens, g.total_degree())
+    echelon = _budgeted_echelon(ring.field, rows)
     return not echelon.add({index[t.monomial]: t.coeff for t in g.terms})
 
 
@@ -207,11 +224,9 @@ def initial_ideal_in_degree(gens, d: int, order: OrderSpec | None = None) -> lis
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
-    mat = macaulay_matrix(gens, d, order=order)
-    echelon = Echelon(mat.ring.field, DEFAULT_ENTRY_BUDGET)
-    for row in mat.rows:
-        echelon.add(row)
-    return [mat.columns[c] for c in sorted(echelon.pivots)]
+    ring, index, rows = _macaulay_rows(gens, d, order=order)
+    columns = list(index)
+    return [columns[c] for c in sorted(_budgeted_echelon(ring.field, rows).pivots)]
 
 
 def invert_matrix(matrix, field):

@@ -29,6 +29,7 @@ from .modules import (
     syzygy_generators,
 )
 from .oracle import Echelon, monomials_of_degree
+from .orders import GREVLEX
 from .poly import Polynomial, last_variable_change, mono_degree, mono_mul
 
 __all__ = [
@@ -228,10 +229,11 @@ def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0,
     passing forms fill a Zariski-open set.  Over a small field the verdict
     is then INCONCLUSIVE.
 
-    The Hilbert function completes a basis of I through degree m+1, so a
-    degree cap in opts below m+1 that cuts it raises CapInterrupted; the
-    deadline is checked in the generator minimalization, the completion
-    and as each row joins an echelon.
+    The Hilbert function does not depend on the order, so it completes a
+    grevlex basis of I through degree m+1 whatever the ring's order; a
+    degree cap in opts below m+1 that cuts that grevlex completion raises
+    CapInterrupted.  The deadline is checked in the generator
+    minimalization, the completion and as each row joins an echelon.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -255,7 +257,8 @@ def bayer_stillman_test(gens, m: int, trials: int = 3, seed: int = 0,
 
     from .ideals import hilbert_function  # ideals imports this module
 
-    h = hilbert_function(min_gens, m + 1, opts)
+    grevlex = ring.with_order(GREVLEX)
+    h = hilbert_function([g.reorder(grevlex) for g in min_gens], m + 1, opts)
     if not h[m]:
         return REGULAR
     # m >= 1 from here on, so the last step, which cuts to no variable at

@@ -16,6 +16,16 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+@pytest.fixture(autouse=True)
+def no_shared_completions():
+    """Start every test with no finished completion to share, so a test
+    that counts engine work counts the same whichever tests ran first."""
+    from groebner import modules
+
+    modules._completions.clear()
+    modules._latest = None
+
+
 @pytest.fixture
 def ring_qq_lex():
     return PolynomialRing(QQ, ["w", "x", "y", "z"], LEX)
@@ -44,7 +54,7 @@ def ring_fp():
 @pytest.fixture
 def engine_calls(monkeypatch):
     """Spy on the completion engine at every binding the package reaches it
-    through: the list grows by one per call."""
+    through: the list grows by one per call, by the ring it completes in."""
     from groebner import modules
 
     # the package's buchberger() function shadows its submodule's name
@@ -52,9 +62,10 @@ def engine_calls(monkeypatch):
     calls = []
     inner = modules.module_buchberger
 
-    def spy(*args, **kwargs):
-        calls.append(None)
-        return inner(*args, **kwargs)
+    def spy(gens, *args, **kwargs):
+        gens = list(gens)
+        calls.append(gens[0].module.ring if gens else None)
+        return inner(gens, *args, **kwargs)
 
     monkeypatch.setattr(modules, "module_buchberger", spy)
     monkeypatch.setattr(buchberger_module, "module_buchberger", spy)

@@ -278,3 +278,8 @@ def test_interreduction_checks_the_deadline(monkeypatch):
         buchberger([x, y], deadline=time.monotonic() - 1.0)
     assert not lifts
     assert buchberger([x, y], deadline=time.monotonic() + 3600.0).elements == [x, y]
+    # the engine checks the deadline before it looks for a finished run,
+    # so the interreduction's own check is reached only directly
+    module, elements = modules.as_module_elements([x, y])
+    with pytest.raises(DeadlineExceeded):
+        modules._interreduce(module, elements, BuchbergerOptions(deadline=time.monotonic() - 1.0))

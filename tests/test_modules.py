@@ -1,6 +1,8 @@
 """Module bases, Schreyer syzygies, minimal generators, and the row
 product."""
 
+import gc
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 from groebner import (
     GF,
     GREVLEX,
+    LEX,
     QQ,
+    DeadlineExceeded,
     FreeModule,
     PolynomialRing,
     buchberger,
@@ -349,3 +353,163 @@ def test_row_product_is_the_naive_sum(case):
                 assert type(c) is Fraction
             else:
                 assert type(c) is int and 0 <= c < p
+
+
+# ---------------------------------------------------------------------------
+# shared completions
+# ---------------------------------------------------------------------------
+
+def _fresh(elements, opts=None):
+    """A completion run with nothing to share."""
+    modules._completions.clear()
+    modules._latest = None
+    return module_buchberger(elements, opts)
+
+
+def _same_result(got, want):
+    assert got.elements == want.elements
+    assert got.transform == want.transform
+    assert got.complete == want.complete
+
+
+@pytest.fixture
+def lifts(monkeypatch):
+    """The S-pair lifts made while the test runs."""
+    calls = []
+    inner = modules._lift_spair
+
+    def spy(*args):
+        calls.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(modules, "_lift_spair", spy)
+    return calls
+
+
+def _three_quadrics(field=QQ, seed=0):
+    # reduced basis in degrees 2, 2, 2, 3, 3, 4; the highest treated pair has degree 5
+    ring, gens = random_ideal(seed, 3, 3, 2, field)
+    return as_module_elements(gens)[1]
+
+
+def test_a_repeat_call_lifts_no_pair(lifts):
+    first = module_buchberger(_three_quadrics())
+    assert lifts
+    lifts.clear()
+    again = module_buchberger(_three_quadrics())  # equal generators, new objects
+    assert not lifts
+    assert again is not first and again.elements is not first.elements
+    _same_result(again, _fresh(_three_quadrics()))
+
+
+def test_a_cap_below_the_top_degree_is_recomputed(lifts):
+    elements = _three_quadrics()
+    full = module_buchberger(elements)
+    assert full.complete and len(full) == 6
+    lifts.clear()
+    capped = module_buchberger(elements, BuchbergerOptions(degree_cap=3))
+    assert lifts
+    assert not capped.complete and len(capped) == 5
+    _same_result(capped, _fresh(elements, BuchbergerOptions(degree_cap=3)))
+
+
+def test_a_cap_at_the_top_degree_is_served(lifts):
+    elements = _three_quadrics()
+    full = module_buchberger(elements)
+    lifts.clear()
+    capped = module_buchberger(elements, BuchbergerOptions(degree_cap=5))
+    assert not lifts
+    assert capped.elements == full.elements and capped.complete
+    _same_result(capped, _fresh(elements, BuchbergerOptions(degree_cap=5)))
+
+
+def test_an_expired_deadline_raises_on_a_hit():
+    elements = _three_quadrics()
+    module_buchberger(elements)
+    with pytest.raises(DeadlineExceeded):
+        module_buchberger(elements, BuchbergerOptions(deadline=time.monotonic() - 1.0))
+
+
+def test_a_caller_editing_its_lists_leaves_later_results_alone():
+    elements = _three_quadrics()
+    first = module_buchberger(elements)
+    first.transform[0] = first.transform[1]
+    first.transform.pop()
+    first.elements.reverse()
+    first.elements.pop()
+    first.generators.clear()
+    _same_result(module_buchberger(elements), _fresh(elements))
+
+
+def test_a_dropped_completion_is_completed_again(lifts):
+    elements = _three_quadrics()
+    module_buchberger(elements)  # the result is dropped at once
+    lifts.clear()
+    module_buchberger(elements)  # the latest run is still held
+    assert not lifts
+    module_buchberger(_three_quadrics(seed=1))  # now the latest
+    gc.collect()
+    module_buchberger(elements)
+    assert lifts
+
+
+def test_a_served_run_becomes_the_latest(lifts):
+    elements = _three_quadrics()
+    held = module_buchberger(elements)
+    module_buchberger(_three_quadrics(seed=1))  # the latest made
+    module_buchberger(elements)  # served, and now the latest
+    del held
+    gc.collect()
+    lifts.clear()
+    module_buchberger(elements)
+    assert not lifts
+
+
+CAPPED_CASES = [
+    pytest.param(field, order, seed, id=f"{field}-{order.kind}-{seed}")
+    for field in (GF(32003), QQ, GF(3))
+    for order in (GREVLEX, LEX)
+    for seed in (0, 1)
+]
+
+
+def _served_caps(elements):
+    """Check every cap up to one past the top treated degree against a
+    fresh capped run, each asked after a complete run; returns the top
+    degree and the caps that complete run served."""
+    served = []
+    top = _fresh(elements)._completion.top
+    for cap in range(top + 2):
+        opts = BuchbergerOptions(degree_cap=cap)
+        want = _fresh(elements, opts)
+        full = _fresh(elements)
+        got = module_buchberger(elements, opts)
+        if got._completion is full._completion:
+            served.append(cap)
+        _same_result(got, want)
+    return top, served
+
+
+@pytest.mark.parametrize("field,order,seed", CAPPED_CASES)
+def test_every_capped_request_matches_a_fresh_capped_run(field, order, seed):
+    # served from a complete run or computed again, a capped result is
+    # the one a fresh run under that cap makes; under grevlex an
+    # inhomogeneous list too (under lex over QQ it takes seconds)
+    ring, gens = random_ideal(600 + seed, 3, 3, 2, field, order)
+    lists = [gens]
+    if order == GREVLEX:
+        lists.append(gens[:-1] + [gens[-1] + ring.variables()[0]])
+    for items in lists:
+        top, served = _served_caps(as_module_elements(items)[1])
+        assert served == [top, top + 1]
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ, GF(3)], ids=str)
+def test_a_run_that_falls_in_degree_serves_caps_from_its_highest_pair(field):
+    # a pair of degree 4 is treated before the last one, of degree 3, so
+    # a cap of 3 stops the run: the highest treated degree decides
+    ring = PolynomialRing(field, ["x", "y", "z"], GREVLEX)
+    x, y, z = ring.variables()
+    gens = [20 * x**3 + 14 * x**2 + 41 * x, 3 * y**2 + 37 * y * z + 20 * x,
+            44 * x**2 * y + 8 * x**2 + 37 * y]
+    assert _served_caps(as_module_elements(gens)[1]) == (4, [4, 5])

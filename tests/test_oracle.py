@@ -171,6 +171,29 @@ def test_every_oracle_echelon_is_budgeted(monkeypatch):
             oracle_call()
 
 
+def test_a_refused_elimination_builds_only_the_rows_it_read(monkeypatch):
+    # 63 rows; the echelon passes 5,000 written entries at the 45th
+    _, dense = random_ideal(1, 6, 3, 3)
+    assert len(macaulay_matrix(dense, 5).rows) == 63
+    monkeypatch.setattr(oracle, "DEFAULT_ENTRY_BUDGET", 5_000)
+    built, inner = [], oracle._MacaulayRows.__iter__
+
+    def counting(rows):
+        for row in inner(rows):
+            built.append(row)
+            yield row
+
+    monkeypatch.setattr(oracle._MacaulayRows, "__iter__", counting)
+    member = dense[0] * dense[0].ring.variable(0) ** 2
+    for oracle_call in (lambda: ideal_dim_in_degree(dense, 5),
+                        lambda: initial_ideal_in_degree(dense, 5),
+                        lambda: membership_in_degree(member, dense)):
+        built.clear()
+        with pytest.raises(MemoryError, match="over the 5000 budget"):
+            oracle_call()
+        assert len(built) == 45
+
+
 def test_rank_and_inverse_helpers():
     F = GF(7)
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]

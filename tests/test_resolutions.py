@@ -295,6 +295,20 @@ def test_bs_completes_once_whatever_the_trials(monkeypatch, engine_calls):
         assert bayer_stillman_test([x * y, z ** 3], 4, trials) == REGULAR
 
 
+def test_bs_reads_the_hilbert_function_under_grevlex(engine_calls):
+    # h(S/I) does not depend on the order, so a lex ring gets the grevlex
+    # ring's verdicts from one grevlex completion per call
+    for name, gens in _bs_cases(GF(32003)):
+        lex = gens[0].ring.with_order(LEX)
+        on_lex = [g.reorder(lex) for g in gens]
+        top = max(g.total_degree() for g in minimalize_generators(gens))
+        for m in range(top - 1, top + 3):
+            want = bayer_stillman_test(gens, m, seed=7)
+            engine_calls.clear()
+            assert bayer_stillman_test(on_lex, m, seed=7) == want, (name, m)
+            assert [r.order for r in engine_calls] == [GREVLEX] * (m >= top), (name, m)
+
+
 def test_bs_unit_ideal():
     # 1 has regularity 0 and passes at once; every other nonzero ideal
     # fails at m = 0 on its generator degrees
