@@ -2,9 +2,8 @@
 quotients, Hilbert functions, membership certificates, Borel-fixedness and
 the saturation defect.
 
-Hilbert functions of monomial ideals use recursive variable splitting on the
-series numerator, which stays fast where inclusion-exclusion would blow up
-on many generators.
+Hilbert functions of monomial ideals are read off the series numerator
+(``series``), which the completion engine shares.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from .poly import (
     mono_divides,
 )
 from .resolutions import free_resolution, regularity
+from .series import _minimal_monomials, _series_numerator, _series_values
 
 __all__ = [
     "MonomialIdeal", "initial_ideal", "eliminate", "saturate_variable",
@@ -64,14 +64,6 @@ def _complete_basis(gens, order=None, opts=None, through=None) -> GroebnerBasis:
 # ---------------------------------------------------------------------------
 # monomial ideals
 # ---------------------------------------------------------------------------
-
-def _minimal_monomials(monos):
-    out = []
-    for m in sorted(set(monos), key=mono_degree):
-        if not any(mono_divides(g, m) for g in out):
-            out.append(m)
-    return out
-
 
 @dataclass(frozen=True)
 class MonomialIdeal:
@@ -241,65 +233,6 @@ def ideal_quotient_saturation(gens, f: Polynomial, opts: BuchbergerOptions | Non
 # Hilbert functions
 # ---------------------------------------------------------------------------
 
-def _series_numerator(gens: tuple, cache: dict) -> dict:
-    """Numerator of the Hilbert series of S/(gens) over (1-t)^nvars, as a
-    degree -> coefficient dict.  Splits on the most shared variable."""
-    if not gens:
-        return {0: 1}
-    if gens in cache:
-        return cache[gens]
-
-    supports = [tuple(i for i, e in enumerate(gens[0]) if e)]
-    coprime = True
-    seen = set(supports[0])
-    for m in gens[1:]:
-        sup = tuple(i for i, e in enumerate(m) if e)
-        if any(i in seen for i in sup):
-            coprime = False
-            break
-        seen.update(sup)
-    if coprime:
-        out = {0: 1}
-        for m in gens:
-            d = mono_degree(m)
-            nxt = dict(out)
-            for e, c in out.items():
-                nxt[e + d] = nxt.get(e + d, 0) - c
-            out = {e: c for e, c in nxt.items() if c}
-        cache[gens] = out
-        return out
-
-    counts = {}
-    for m in gens:
-        for i, e in enumerate(m):
-            if e:
-                counts[i] = counts.get(i, 0) + 1
-    pivot_var = max(counts, key=lambda i: (counts[i], -i))
-    nvars = len(gens[0])
-    pivot = tuple(1 if i == pivot_var else 0 for i in range(nvars))
-
-    # S/(gens + pivot) and S/(gens : pivot) glue along multiplication by pivot
-    plus = tuple(_minimal_sorted([m for m in gens if m != pivot] + [pivot]))
-    colon = tuple(
-        _minimal_sorted(
-            tuple(e - 1 if i == pivot_var and e > 0 else e for i, e in enumerate(m))
-            for m in gens
-        )
-    )
-    a = _series_numerator(plus, cache)
-    b = _series_numerator(colon, cache)
-    out = dict(a)
-    for e, c in b.items():
-        out[e + 1] = out.get(e + 1, 0) + c
-    out = {e: c for e, c in out.items() if c}
-    cache[gens] = out
-    return out
-
-
-def _minimal_sorted(monos):
-    return sorted(_minimal_monomials(monos))
-
-
 def hilbert_function(ideal, d_max: int, opts: BuchbergerOptions | None = None) -> list:
     """dim_k (S/I)_d for d = 0..d_max.
 
@@ -326,18 +259,6 @@ def hilbert_function(ideal, d_max: int, opts: BuchbergerOptions | None = None) -
 def _numerator(mono: MonomialIdeal) -> dict:
     """Hilbert-series numerator of S/mono over (1-t)^nvars."""
     return _series_numerator(tuple(sorted(mono.gens)), {})
-
-
-def _series_values(numerator: dict, nvars: int, d_max: int) -> list:
-    """Coefficients of t^0..t^d_max in numerator / (1-t)^nvars."""
-    return [
-        sum(
-            c * comb(d - e + nvars - 1, nvars - 1)
-            for e, c in numerator.items()
-            if e <= d
-        )
-        for d in range(d_max + 1)
-    ]
 
 
 # ---------------------------------------------------------------------------

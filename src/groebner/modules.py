@@ -11,7 +11,10 @@ run still held, under a cap that run answers (module_buchberger says
 which), returns a new result over the same elements and records instead
 of completing again.  Membership, syzygies, Hilbert functions and
 resolutions each complete the lists they are given, and callers often
-give the same list twice; the second call costs a lookup.
+give the same list twice; the second call costs a lookup.  A held grevlex
+run of homogeneous ideal generators also tells a later run of the same
+generators under another order the Hilbert function of its initial ideal,
+and that run skips the pairs the count of missing leads proves zero.
 
 One S-pair lift, ``_lift_spair``, serves the completion, the Groebner check
 and the Schreyer syzygies: it divides the S-element of a pair through the
@@ -40,6 +43,7 @@ from operator import add
 from typing import NamedTuple
 
 from .oracle import Echelon
+from .orders import GREVLEX
 from .poly import (
     Polynomial,
     PolynomialRing,
@@ -50,6 +54,7 @@ from .poly import (
     mono_mask,
     mono_mul,
 )
+from .series import _minimal_sorted, _series_numerator, _series_value
 
 __all__ = [
     "FreeModule", "ModuleTerm", "ModuleElement",
@@ -525,6 +530,68 @@ _completions = weakref.WeakValueDictionary()
 _latest = None  # the last completion made or served, kept alive for the next call
 
 
+class _LeadCount:
+    """How many new leads each degree of a homogeneous ideal's completion
+    still needs, counted against the Hilbert series of S/I (Traverso,
+    "Hilbert functions and the Buchberger algorithm", 1996).
+
+    The leads L found so far generate a monomial ideal inside in(I), and
+    in(I) has the Hilbert function of I under every order.  So before the
+    first pair of degree d is treated, in(I) has HF_{S/L}(d) - HF_{S/I}(d)
+    monomials of degree d outside L, and each nonzero remainder of degree
+    d adds exactly one of them.  Once none is left, every pair left in
+    degree d reduces to zero.  One _series_numerator cache serves every
+    degree; once the leads' numerator equals I's, L = in(I) and no series
+    is read again."""
+
+    __slots__ = ("numerator", "nvars", "shift", "cache", "degree", "need", "met")
+
+    def __init__(self, numerator, nvars, shift, cache):
+        self.numerator = numerator
+        self.nvars = nvars
+        self.shift = shift  # pair degree - monomial degree
+        self.cache = cache
+        self.degree = None  # the pair degree need was read at
+        self.need = 0
+        self.met = False
+
+    def skips(self, degree, leads) -> bool:
+        """Whether the pairs of this degree left to treat all reduce to
+        zero; the first call in a degree reads its need."""
+        if degree != self.degree and not self.met:
+            self.degree = degree
+            ideal = tuple(_minimal_sorted(lt.monomial for lt in leads))
+            current = _series_numerator(ideal, self.cache)
+            self.met = current == self.numerator
+            d, n = degree - self.shift, self.nvars
+            self.need = _series_value(current, n, d) - _series_value(self.numerator, n, d)
+        return not self.need
+
+    def found(self):
+        """A nonzero remainder in the current degree."""
+        self.need -= 1
+        assert self.need >= 0, f"more new leads in degree {self.degree} than I has"
+
+
+def _held_count(gens, module):
+    """A _LeadCount for gens read off the leads of a complete run, still
+    held, of the same generators reordered into the ring's grevlex copy;
+    None unless gens are homogeneous generators of an ideal in a ring under
+    another order and such a run is held.  A peek: it completes nothing
+    and leaves _latest as it is."""
+    ring = module.ring
+    if module.rank != 1 or ring.order == GREVLEX or not all(g.is_homogeneous() for g in gens):
+        return None
+    gring = ring.with_order(GREVLEX)
+    gmodule = FreeModule(gring, module.shifts)
+    held = _completions.get(tuple(gmodule.element((g.comps[0].reorder(gring),)) for g in gens))
+    if held is None or not held.complete:
+        return None
+    cache = {}
+    leads = tuple(sorted(e.lead_term().monomial for e in held.elements))
+    return _LeadCount(_series_numerator(leads, cache), ring.nvars, module.shifts[0], cache)
+
+
 class ModuleGroebnerBasis:
     """Completion output: monic basis elements, and transform rows writing
     each element as a combination of the original generators.  The rows
@@ -642,6 +709,19 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None) -> ModuleGroe
     ideals only) and treated by ascending (degree, i, j) from a heap.
     Under opts.degree_cap the loop stops at the first pair above the cap.
 
+    A change of order skips the pairs a held grevlex run proves zero.  When
+    the generators are homogeneous and generate an ideal, the ring's order
+    is not grevlex, and a complete run of the same generators reordered
+    into the ring's grevlex copy is still held (see below), every order
+    gives in(I) that run's Hilbert function.  At the first pair of each
+    degree the loop reads how many new leads the degree still needs, and
+    once none is left it skips the rest of the degree (_LeadCount).  The
+    cap check comes first and a skipped pair counts as treated, so the
+    stopping point and the highest treated degree are those of a run that
+    lifts every pair; a skipped pair would have reduced to zero, adding no
+    element and no record, so the result is the same too.  Without a held
+    run every pair is lifted.
+
     A finished run is shared.  After the input checks and one deadline
     check, the generators (compared by value: module, ring, order, shifts
     and terms) are looked up among the runs still held.  A run serves the
@@ -714,6 +794,7 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None) -> ModuleGroe
     for idx, g in enumerate(gens):
         append_element(g, idx)
 
+    count = _held_count(gens, module)
     complete = True
     top = None  # highest degree of a treated pair
     while pending:
@@ -726,10 +807,14 @@ def module_buchberger(gens, opts: BuchbergerOptions | None = None) -> ModuleGroe
             complete = False
             break  # every pair left on the heap is above the cap too
         top = degree if top is None else max(top, degree)
+        if count is not None and count.skips(degree, leads):
+            continue
 
         rem, coeffs = _lift_spair(basis, leads, i, j, opts)
         if not rem.is_zero:
             append_element(rem, [(k, c) for k, c in enumerate(coeffs) if not c.is_zero])
+            if count is not None:
+                count.found()
 
     basis, reduction = _interreduce(module, basis, opts)
     done = _completions[key] = _latest = _Completion(basis, complete, cap, top, history, reduction)

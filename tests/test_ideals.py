@@ -252,6 +252,27 @@ def test_hilbert_function_matches_oracle_for_all_orders(cubic_lex):
             assert comb(d + 3, 3) - hs[d] == ideal_dim_in_degree(gens, d)
 
 
+def test_hilbert_function_of_monomial_ideals_counts_the_standard_monomials():
+    from groebner.oracle import monomials_of_degree
+
+    rng = random.Random(25)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        monos = [tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(1, 10))]
+        M = MonomialIdeal.from_monomials(PolynomialRing(QQ, [f"x{i}" for i in range(n)]), monos)
+        count = [sum(not M.contains(m) for m in monomials_of_degree(n, d)) for d in range(9)]
+        assert hilbert_function(M, 8) == count, M.gens
+
+
+def test_a_long_staircase_splits_in_few_steps():
+    # x^i y^(N-1-i): every split halves the exponents left, so the depth
+    # is logarithmic where a split on x alone recursed N deep
+    N = 1000
+    ring = PolynomialRing(QQ, ["x", "y"])
+    M = MonomialIdeal.from_monomials(ring, [(i, N - 1 - i) for i in range(N)])
+    assert hilbert_function(M, N + 1) == list(range(1, N)) + [0, 0, 0]
+
+
 def test_membership_certificates(ring_qq_xy):
     x, y = ring_qq_xy.variables()
     gens = [x * x + y * y, x * y]

@@ -18,10 +18,12 @@ from groebner import (
     FreeModule,
     PolynomialRing,
     buchberger,
+    eliminate_order,
     minimalize_generators,
     module_buchberger,
     random_ideal,
     syzygies,
+    weight_order,
 )
 from groebner import modules, oracle
 from groebner.modules import (
@@ -513,3 +515,132 @@ def test_a_run_that_falls_in_degree_serves_caps_from_its_highest_pair(field):
     gens = [20 * x**3 + 14 * x**2 + 41 * x, 3 * y**2 + 37 * y * z + 20 * x,
             44 * x**2 * y + 8 * x**2 + 37 * y]
     assert _served_caps(as_module_elements(gens)[1]) == (4, [4, 5])
+
+
+# ---------------------------------------------------------------------------
+# pairs a held grevlex run proves zero
+# ---------------------------------------------------------------------------
+
+HELD_ORDERS = [LEX, eliminate_order(1), weight_order((-4, -1, 0))]
+HELD_CASES = [
+    pytest.param(field, order, id=f"{field}-{order}")
+    for field in (GF(32003), QQ, GF(2), GF(3))
+    for order in HELD_ORDERS
+]
+
+
+def _two_degrees(field):
+    """Two quadrics and a cubic in three variables, on a grevlex ring."""
+    return random_ideal(700, 3, 2, 2, field)[1] + random_ideal(800, 3, 1, 3, field)[1]
+
+
+def _in_order(gens, order):
+    ring = gens[0].ring.with_order(order)
+    return as_module_elements([g.reorder(ring) for g in gens])[1]
+
+
+def _held_run(gens, elements, opts, lifts):
+    """(result, lifts made) of a run on elements while a complete grevlex
+    run of gens is held."""
+    _fresh(as_module_elements(gens)[1])
+    held = modules._latest
+    assert held.complete
+    before = len(lifts)
+    got = module_buchberger(elements, opts)
+    return got, len(lifts) - before
+
+
+def _cold_run(elements, opts, lifts):
+    before = len(lifts)
+    return _fresh(elements, opts), len(lifts) - before
+
+
+def _same_run(got, want):
+    _same_result(got, want)
+    assert got._completion.top == want._completion.top
+
+
+@pytest.mark.parametrize("field,order", HELD_CASES)
+def test_a_held_grevlex_run_skips_pairs_and_changes_nothing(field, order, lifts):
+    gens = _two_degrees(field)
+    elements = _in_order(gens, order)
+    want, cold = _cold_run(elements, None, lifts)
+    got, warm = _held_run(gens, elements, None, lifts)
+    _same_run(got, want)
+    assert warm < cold
+    top = want._completion.top
+    for cap in range(min(g.total_degree() for g in gens), top + 2):
+        opts = BuchbergerOptions(degree_cap=cap)
+        want, _ = _cold_run(elements, opts, lifts)
+        got, _ = _held_run(gens, elements, opts, lifts)
+        _same_run(got, want)
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=str)
+def test_random_ideals_skip_under_every_order(field, lifts):
+    for seed in range(3):
+        _, gens = random_ideal(seed, 3, 3, 2, field)
+        for order in HELD_ORDERS:
+            elements = _in_order(gens, order)
+            want, cold = _cold_run(elements, None, lifts)
+            got, warm = _held_run(gens, elements, None, lifts)
+            _same_run(got, want)
+            assert warm < cold
+
+
+def test_inhomogeneous_generators_skip_no_pair(lifts):
+    ring, gens = random_ideal(3, 3, 3, 2, GF(32003))
+    gens = gens[:-1] + [gens[-1] + ring.variables()[0]]
+    elements = _in_order(gens, LEX)
+    want, cold = _cold_run(elements, None, lifts)
+    got, warm = _held_run(gens, elements, None, lifts)
+    _same_run(got, want)
+    assert warm == cold
+
+
+def test_a_module_of_rank_two_skips_no_pair(lifts):
+    def elements(order):
+        ring = PolynomialRing(GF(32003), ["x", "y", "z"], order)
+        x, y, z = ring.variables()
+        module = FreeModule(ring, (0, 0))
+        return [module.element(c) for c in [(x * x, y * z), (y * y, x * z + z * z),
+                                             (x * y - z * z, x * x), (z * z, y * y)]]
+
+    want, cold = _cold_run(elements(LEX), None, lifts)
+    _fresh(elements(GREVLEX))
+    assert modules._latest.complete
+    before = len(lifts)
+    got = module_buchberger(elements(LEX))
+    _same_run(got, want)
+    assert len(lifts) - before == cold
+
+
+def test_a_capped_grevlex_run_is_not_read(lifts):
+    gens = _two_degrees(GF(32003))
+    elements = _in_order(gens, LEX)
+    want, cold = _cold_run(elements, None, lifts)
+    grevlex = as_module_elements(gens)[1]
+    top = _fresh(grevlex)._completion.top
+    for cap in range(2, top):
+        held = _fresh(grevlex, BuchbergerOptions(degree_cap=cap))
+        assert not held.complete
+        before = len(lifts)
+        got = module_buchberger(elements)
+        _same_run(got, want)
+        assert len(lifts) - before == cold
+
+
+def test_the_peek_runs_nothing_and_leaves_the_latest_run(engine_calls, lifts):
+    gens = _two_degrees(GF(32003))
+    held = buchberger(gens)  # keeps the grevlex run in the table
+    other = buchberger(random_ideal(1, 3, 3, 2)[1])
+    assert modules._latest is other._basis._completion
+    elements = _in_order(gens, LEX)
+    count = modules._held_count(elements, elements[0].module)
+    assert count is not None and modules._latest is other._basis._completion
+    engine_calls.clear()
+    lifts.clear()
+    lex = buchberger(gens, order=LEX)
+    assert engine_calls == [lex.ring]
+    warm = len(lifts)
+    assert held.complete and warm < _cold_run(elements, None, lifts)[1]
