@@ -60,9 +60,6 @@ class GroebnerBasis:
     def contains(self, g: Polynomial) -> bool:
         return self.normal_form(g).is_zero
 
-    def lead_monomials(self):
-        return [f.lead_monomial for f in self.elements]
-
     def max_degree(self) -> int:
         return max(f.total_degree() for f in self.elements)
 

@@ -2,8 +2,8 @@
 quotients, Hilbert functions, membership certificates, Borel-fixedness and
 the saturation defect.
 
-Hilbert functions of monomial ideals are read off the series numerator
-(``series``), which the completion engine shares.
+Hilbert functions, saturations and their defects read Hilbert series off
+leads in ``series``, their one home, which the completion engine shares.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .poly import (
     mono_divides,
 )
 from .resolutions import free_resolution, regularity
-from .series import _minimal_monomials, _series_numerator, _series_values
+from .series import _exact_quotient, _minimal_monomials, _numerator, _series_values
 
 __all__ = [
     "MonomialIdeal", "initial_ideal", "eliminate", "saturate_variable",
@@ -99,18 +99,14 @@ class MonomialIdeal:
         return len(self.gens)
 
 
-def _lead_ideal(basis) -> MonomialIdeal:
-    """Ideal of the leads of a Groebner basis: the initial ideal."""
-    return MonomialIdeal.from_monomials(basis[0].ring, [f.lead_monomial for f in basis])
-
-
 def initial_ideal(gens, order: OrderSpec | None = None,
                   opts: BuchbergerOptions | None = None) -> MonomialIdeal:
     """Minimal generators of the ideal of lead terms, via the reduced basis."""
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise ValueError("zero ideal has no initial ideal generators")
-    return _lead_ideal(_complete_basis(gens, order=order, opts=opts).elements)
+    gb = _complete_basis(gens, order=order, opts=opts)
+    return MonomialIdeal.from_monomials(gb.ring, [f.lead_monomial for f in gb.elements])
 
 
 # ---------------------------------------------------------------------------
@@ -243,22 +239,15 @@ def hilbert_function(ideal, d_max: int, opts: BuchbergerOptions | None = None) -
     the completion.  Monomial input is counted directly.
     """
     if isinstance(ideal, MonomialIdeal):
-        mono = ideal
-    else:
-        gens = [g for g in ideal if not g.is_zero]
-        if not gens:
-            raise ValueError("pass a MonomialIdeal or nonzero generators")
-        for g in gens:
-            if not g.is_homogeneous():
-                raise ValueError("Hilbert functions need homogeneous input")
-        mono = _lead_ideal(_complete_basis(gens, opts=opts, through=d_max).elements)
-
-    return _series_values(_numerator(mono), mono.ring.nvars, d_max)
-
-
-def _numerator(mono: MonomialIdeal) -> dict:
-    """Hilbert-series numerator of S/mono over (1-t)^nvars."""
-    return _series_numerator(tuple(sorted(mono.gens)), {})
+        return _series_values(_numerator(ideal.gens), ideal.ring.nvars, d_max)
+    gens = [g for g in ideal if not g.is_zero]
+    if not gens:
+        raise ValueError("pass a MonomialIdeal or nonzero generators")
+    for g in gens:
+        if not g.is_homogeneous():
+            raise ValueError("Hilbert functions need homogeneous input")
+    gb = _complete_basis(gens, opts=opts, through=d_max)
+    return _series_values(_numerator(f.lead_monomial for f in gb.elements), gb.ring.nvars, d_max)
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +443,10 @@ def _generic_saturation(gens, seed: int, opts: BuchbergerOptions | None):
     for coeffs in _saturation_forms(ring.field, nvars - 1, seed):
         change = last_variable_change(ring, nvars, coeffs)
         basis, sat = _saturate_last([change.apply(g) for g in gens], opts)
-        n_i, n_j = (_numerator(_lead_ideal(b)) for b in (basis, sat))
-        diff = {d: n_i.get(d, 0) - n_j.get(d, 0) for d in n_i | n_j}
-        # the series of diff / (1-t)^n through the top degree of diff: the
-        # division is exact when its last n coefficients vanish, since the
-        # recurrence (1-t)^n sets every later one from the n before it
-        series = _series_values(diff, nvars, max(diff, default=-1))
-        if not any(series[-nvars:]):
-            return sat, change, {d: c for d, c in enumerate(series) if c}, n_j
+        n_i, n_j = (_numerator(f.lead_monomial for f in b) for b in (basis, sat))
+        defect = _exact_quotient({d: n_i.get(d, 0) - n_j.get(d, 0) for d in n_i | n_j}, nvars)
+        if defect is not None:
+            return sat, change, defect, n_j
     raise RuntimeError("no general linear form found; the field may be too small")
 
 
@@ -493,17 +478,14 @@ class SatDefect:
     The regularity is exact in each of sat_defect's three cases: read off
     the defect alone when sat I is the unit ideal, off the Hilbert series
     of sat I when sat I cuts out finitely many points, and off the minimal
-    resolution of I otherwise (see sat_defect for the proof).
+    resolution of I otherwise (see sat_defect for the proof).  Each
+    Hilbert-series read behind it is made in ``series``, their one home.
     """
 
     total: int
     by_degree: dict
     regularity: int
     bound: int
-
-    @property
-    def within_bound(self) -> bool:
-        return self.total <= self.bound
 
 
 def sat_defect(gens, seed: int = 0, opts: BuchbergerOptions | None = None) -> SatDefect:
@@ -525,8 +507,8 @@ def sat_defect(gens, seed: int = 0, opts: BuchbergerOptions | None = None) -> Sa
     - (1-t)^(n-1) divides N_J, that is dim S/J <= 1: J = (J : l) for the
       form l it was saturated by, so l is a nonzerodivisor on S/J and
       reg S/J = reg S/(J, l).  S/(J, l) has finite length and the series
-      N_J / (1-t)^(n-1), a polynomial of degree reg J - 1.  Divisibility is
-      tested as _generic_saturation tests its division.
+      N_J / (1-t)^(n-1), a polynomial of degree reg J - 1; one exact
+      division tests the case and gives the series.
     - otherwise the regularity is read off the minimal resolution of I.
 
     The zero ideal has no regularity to read, so it raises ValueError, as
@@ -547,11 +529,11 @@ def sat_defect(gens, seed: int = 0, opts: BuchbergerOptions | None = None) -> Sa
     reg = max(by_degree, default=-1) + 1
     # a unit saturation has the numerator 0; otherwise the series of S/(J, l)
     if n_sat:
-        section = _series_values(n_sat, n, max(n_sat))
-        if any(section[-n:]):
+        section = _exact_quotient(n_sat, n)
+        if section is None:
             reg = regularity(free_resolution(gens, opts))
         else:
-            reg = max(reg, max(d for d, c in enumerate(section) if c) + 1)
+            reg = max(reg, max(section) + 1)
     total = sum(by_degree.values())
     bound = comb(reg + n, n + 1)
     if total > bound:

@@ -54,7 +54,7 @@ from .poly import (
     mono_mask,
     mono_mul,
 )
-from .series import _minimal_sorted, _series_numerator, _series_value
+from .series import _numerator, _series_value
 
 __all__ = [
     "FreeModule", "ModuleTerm", "ModuleElement",
@@ -500,9 +500,11 @@ class _Completion:
     equal generators: the reduced elements, whether the run completed, the
     cap it ran under, its highest treated pair degree (None when it treated
     none) and its records, replayed into transform rows on first read and
-    then dropped."""
+    then dropped.  A run of ideal generators also keeps the Hilbert-series
+    numerator of its leads once read."""
 
-    __slots__ = ("elements", "complete", "cap", "top", "_records", "_rows", "__weakref__")
+    __slots__ = ("elements", "complete", "cap", "top", "_records", "_rows", "_series",
+                 "__weakref__")
 
     def __init__(self, elements, complete, cap, top, history, reduction):
         self.elements = elements
@@ -511,6 +513,7 @@ class _Completion:
         self.top = top
         self._records = (history, reduction)
         self._rows = None
+        self._series = None
 
     def serves(self, cap) -> bool:
         """Whether this run is the one a request under cap would make."""
@@ -523,6 +526,13 @@ class _Completion:
             self._rows = _replay(ring, width, *self._records)
             self._records = None
         return self._rows
+
+    def numerator(self):
+        """The Hilbert-series numerator of S/in(I), for a complete run of
+        ideal generators: built from the leads on first read and kept."""
+        if self._series is None:
+            self._series = _numerator(e.lead_term().monomial for e in self.elements)
+        return self._series
 
 
 # generators -> the completion that serves them, while a result holds it
@@ -540,17 +550,17 @@ class _LeadCount:
     first pair of degree d is treated, in(I) has HF_{S/L}(d) - HF_{S/I}(d)
     monomials of degree d outside L, and each nonzero remainder of degree
     d adds exactly one of them.  Once none is left, every pair left in
-    degree d reduces to zero.  One _series_numerator cache serves every
-    degree; once the leads' numerator equals I's, L = in(I) and no series
-    is read again."""
+    degree d reduces to zero.  One numerator cache serves every degree;
+    once the leads' numerator equals I's, L = in(I) and no series is read
+    again."""
 
     __slots__ = ("numerator", "nvars", "shift", "cache", "degree", "need", "met")
 
-    def __init__(self, numerator, nvars, shift, cache):
+    def __init__(self, numerator, nvars, shift):
         self.numerator = numerator
         self.nvars = nvars
         self.shift = shift  # pair degree - monomial degree
-        self.cache = cache
+        self.cache = {}
         self.degree = None  # the pair degree need was read at
         self.need = 0
         self.met = False
@@ -560,8 +570,7 @@ class _LeadCount:
         zero; the first call in a degree reads its need."""
         if degree != self.degree and not self.met:
             self.degree = degree
-            ideal = tuple(_minimal_sorted(lt.monomial for lt in leads))
-            current = _series_numerator(ideal, self.cache)
+            current = _numerator((lt.monomial for lt in leads), self.cache)
             self.met = current == self.numerator
             d, n = degree - self.shift, self.nvars
             self.need = _series_value(current, n, d) - _series_value(self.numerator, n, d)
@@ -574,11 +583,11 @@ class _LeadCount:
 
 
 def _held_count(gens, module):
-    """A _LeadCount for gens read off the leads of a complete run, still
-    held, of the same generators reordered into the ring's grevlex copy;
-    None unless gens are homogeneous generators of an ideal in a ring under
-    another order and such a run is held.  A peek: it completes nothing
-    and leaves _latest as it is."""
+    """A _LeadCount for gens against the numerator kept by a complete run,
+    still held, of the same generators reordered into the ring's grevlex
+    copy; None unless gens are homogeneous generators of an ideal in a ring
+    under another order and such a run is held.  A peek: it completes
+    nothing and leaves _latest as it is."""
     ring = module.ring
     if module.rank != 1 or ring.order == GREVLEX or not all(g.is_homogeneous() for g in gens):
         return None
@@ -587,9 +596,7 @@ def _held_count(gens, module):
     held = _completions.get(tuple(gmodule.element((g.comps[0].reorder(gring),)) for g in gens))
     if held is None or not held.complete:
         return None
-    cache = {}
-    leads = tuple(sorted(e.lead_term().monomial for e in held.elements))
-    return _LeadCount(_series_numerator(leads, cache), ring.nvars, module.shifts[0], cache)
+    return _LeadCount(held.numerator(), ring.nvars, module.shifts[0])
 
 
 class ModuleGroebnerBasis:

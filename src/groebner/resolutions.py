@@ -30,7 +30,7 @@ from .modules import (
 )
 from .oracle import Echelon, monomials_of_degree
 from .orders import GREVLEX
-from .poly import Polynomial, last_variable_change, mono_degree, mono_mul
+from .poly import Polynomial, last_variable_change, mono_mul
 
 __all__ = [
     "FreeResolution", "BettiTable", "free_resolution", "regularity",
@@ -67,13 +67,6 @@ class BettiTable:
 
     def regularity(self) -> int:
         return max(j - i for i, j in self.entries)
-
-    def alternating_numerator(self) -> dict:
-        """Coefficients of sum_i (-1)^i sum_j beta[i,j] t^j."""
-        out = {}
-        for (i, j), b in self.entries.items():
-            out[j] = out.get(j, 0) + (b if i % 2 == 0 else -b)
-        return {j: c for j, c in out.items() if c}
 
     def json_rows(self):
         return [
@@ -134,16 +127,6 @@ class FreeResolution:
                 if not s.apply(prev).is_zero:
                     return False
         return True
-
-    def has_scalar_entries(self) -> bool:
-        """Nonzero constant entries in any map past step 0 break minimality."""
-        for step in self.steps[1:]:
-            for elem in step:
-                for p in elem.comps:
-                    for t in p.terms:
-                        if mono_degree(t.monomial) == 0:
-                            return True
-        return False
 
 
 def free_resolution(gens, opts: BuchbergerOptions | None = None) -> FreeResolution:

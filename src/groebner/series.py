@@ -1,4 +1,5 @@
-"""Hilbert series of monomial ideals.
+"""Hilbert series: their one home, for numerators, values and the exact
+division by (1-t)^k.
 
 The Hilbert series of S/M, for M a monomial ideal of S = k[x_1, ..., x_n],
 is N(t) / (1-t)^n for one polynomial N, the numerator.  It is computed by
@@ -9,12 +10,14 @@ of Hilbert-Poincare series", 1997).  The numerator does not depend on the
 pivots, so any choice gives the same dict.
 
 A homogeneous ideal and its initial ideal under any monomial order have
-the same series, so the derived operations in ``ideals`` and the
-completion engine in ``modules`` both read it here.
+the same series, so ``ideals`` and the completion engine in ``modules``
+read numerators off leads here, and prove a saturation exact by dividing
+one by (1-t)^k.  Importing only ``poly``, this module is open to them all.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from operator import le
 
@@ -35,15 +38,18 @@ def _minimal_monomials(monos):
     return out
 
 
-def _minimal_sorted(monos):
-    return sorted(_minimal_monomials(monos))
+def _numerator(monos, cache: dict | None = None) -> dict:
+    """Numerator of the Hilbert series of S/(monos) over (1-t)^nvars, as a
+    degree -> coefficient dict, for any monomials: duplicates and ones
+    another divides are dropped, and their order does not matter.  The
+    unit ideal has the numerator {} and the zero ideal {0: 1}.  cache maps
+    the sorted minimal tuples met on the way to their numerators; a caller
+    that asks about related ideals can keep one cache for all of them."""
+    return _split(tuple(sorted(_minimal_monomials(monos))), {} if cache is None else cache)
 
 
-def _series_numerator(gens: tuple, cache: dict) -> dict:
-    """Numerator of the Hilbert series of S/(gens) over (1-t)^nvars, as a
-    degree -> coefficient dict, for a sorted tuple of minimal monomials.
-    cache maps such tuples to their numerators; a caller that asks about
-    related ideals can keep one cache for all of them."""
+def _split(gens: tuple, cache: dict) -> dict:
+    """_numerator of a sorted tuple of minimal monomials."""
     if not gens:
         return {0: 1}
     out = cache.get(gens)
@@ -80,9 +86,10 @@ def _series_numerator(gens: tuple, cache: dict) -> dict:
     # power of x_v below the median and divide the generators at the
     # median, so the sum needs no minimalization.
     plus = tuple(sorted([m for m in gens if m[v] < power] + [pivot]))
-    colon = tuple(_minimal_sorted(m[:v] + (max(m[v] - power, 0),) + m[v + 1:] for m in gens))
-    out = dict(_series_numerator(plus, cache))
-    for e, c in _series_numerator(colon, cache).items():
+    colon = tuple(sorted(_minimal_monomials(m[:v] + (max(m[v] - power, 0),) + m[v + 1:]
+                                            for m in gens)))
+    out = dict(_split(plus, cache))
+    for e, c in _split(colon, cache).items():
         out[e + power] = out.get(e + power, 0) + c
     out = {e: c for e, c in out.items() if c}
     cache[gens] = out
@@ -97,3 +104,15 @@ def _series_value(numerator: dict, nvars: int, d: int) -> int:
 def _series_values(numerator: dict, nvars: int, d_max: int) -> list:
     """Coefficients of t^0..t^d_max in numerator / (1-t)^nvars."""
     return [_series_value(numerator, nvars, d) for d in range(d_max + 1)]
+
+
+def _exact_quotient(numerator: dict, k: int) -> dict | None:
+    """numerator / (1-t)^k, its nonzero coefficients by degree, when that
+    quotient is a polynomial, else None.  Dividing by 1-t takes prefix
+    sums: the last is the remainder, the value at t = 1."""
+    coeffs = [numerator.get(d, 0) for d in range(max(numerator, default=-1) + 1)]
+    for _ in range(k):
+        coeffs = list(accumulate(coeffs))
+        if coeffs and coeffs.pop():
+            return None
+    return {d: c for d, c in enumerate(coeffs) if c}

@@ -50,7 +50,7 @@ def test_plane_example_basis(ring_qq_xy):
 def test_reduced_basis_leads_are_minimal(cubic_lex):
     ring, gens = cubic_lex
     gb = buchberger(gens)
-    leads = gb.lead_monomials()
+    leads = [f.lead_monomial for f in gb.elements]
     for i, a in enumerate(leads):
         for j, b in enumerate(leads):
             if i != j:

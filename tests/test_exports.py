@@ -33,6 +33,22 @@ def test_the_package_imports_only_exported_names():
         assert unexported == [], node.module
 
 
+def test_series_imports_only_poly_from_the_package():
+    # ideals, modules and resolutions all read the Hilbert series there, so
+    # it must reach none of them
+    import groebner.series
+
+    tree = ast.parse(Path(groebner.series.__file__).read_text())
+    inside = set()  # a relative import by its module, an absolute one by its full name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            inside.add(node.module)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            inside |= {n for n in names if n.partition(".")[0] == "groebner"}
+    assert inside == {"poly"}
+
+
 def test_star_import():
     namespace = {}
     exec("from groebner import *", namespace)

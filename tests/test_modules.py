@@ -2,6 +2,7 @@
 product."""
 
 import gc
+import sys
 import time
 from fractions import Fraction
 
@@ -18,7 +19,9 @@ from groebner import (
     FreeModule,
     PolynomialRing,
     buchberger,
+    eliminate,
     eliminate_order,
+    flat_family,
     minimalize_generators,
     module_buchberger,
     random_ideal,
@@ -644,3 +647,43 @@ def test_the_peek_runs_nothing_and_leaves_the_latest_run(engine_calls, lifts):
     assert engine_calls == [lex.ring]
     warm = len(lifts)
     assert held.complete and warm < _cold_run(elements, None, lifts)[1]
+
+
+def test_a_held_run_builds_its_numerator_once(monkeypatch, lifts):
+    gens = _two_degrees(GF(32003))
+    W = (3, 1, 2)
+    orders = [LEX, eliminate_order(1), weight_order(W)]
+    colds = [_cold_run(_in_order(gens, order), None, lifts) for order in orders]
+
+    builds = []
+    inner_numerator = modules._numerator
+
+    def numerator_spy(*args):
+        builds.append(sys._getframe(1).f_code.co_name)
+        return inner_numerator(*args)
+
+    results = []
+    inner_engine = modules.module_buchberger
+
+    def engine_spy(*args, **kwargs):
+        results.append(inner_engine(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(modules, "_numerator", numerator_spy)
+    # every binding through which the package reaches the engine; the
+    # package's buchberger() function shadows its submodule's name
+    monkeypatch.setattr(modules, "module_buchberger", engine_spy)
+    monkeypatch.setattr(sys.modules["groebner.buchberger"], "module_buchberger", engine_spy)
+    modules._completions.clear()
+    held = buchberger(gens)  # keeps the grevlex run in the table
+    assert held.complete and builds == []
+    results.clear()
+    before = len(lifts)
+    buchberger(gens, order=LEX)
+    eliminate(gens, 1)
+    flat_family(gens, W)
+    assert builds.count("numerator") == 1
+    assert len(results) == len(colds)
+    for got, (want, _) in zip(results, colds):
+        _same_run(got, want)
+    assert len(lifts) - before < sum(cold for _, cold in colds)

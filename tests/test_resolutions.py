@@ -35,6 +35,20 @@ from groebner.poly import Polynomial, last_variable_change, mono_mul
 from groebner.resolutions import INCONCLUSIVE
 
 
+def _has_scalar_entries(res):
+    """Nonzero constant entries in any map past step 0 break minimality."""
+    return any(sum(t.monomial) == 0
+               for step in res.steps[1:] for elem in step for p in elem.comps for t in p.terms)
+
+
+def alternating_numerator(betti):
+    """Coefficients of sum_i (-1)^i sum_j beta[i,j] t^j."""
+    out = {}
+    for (i, j), b in betti.entries.items():
+        out[j] = out.get(j, 0) + (b if i % 2 == 0 else -b)
+    return {j: c for j, c in out.items() if c}
+
+
 def test_twisted_cubic_resolution(cubic_grevlex):
     ring, gens = cubic_grevlex
     res = free_resolution(gens)
@@ -42,7 +56,7 @@ def test_twisted_cubic_resolution(cubic_grevlex):
     assert bt.entries == {(0, 2): 3, (1, 3): 2}
     assert regularity(res) == 2
     assert res.composition_is_zero()
-    assert not res.has_scalar_entries()
+    assert not _has_scalar_entries(res)
     assert res.length <= ring.nvars + 1
 
 
@@ -150,7 +164,7 @@ def test_betti_numbers_stable_under_generator_orders(cubic_grevlex):
 def test_alternating_sum_matches_hilbert_series(cubic_grevlex):
     ring, gens = cubic_grevlex
     res = free_resolution(gens)
-    num = res.betti().alternating_numerator()
+    num = alternating_numerator(res.betti())
     v = ring.nvars
     cap = 10
     hf = hilbert_function(gens, cap)  # dims of S/I
@@ -164,7 +178,7 @@ def test_resolution_of_random_ideals_is_exact():
         ring, gens = random_ideal(seed, 3, 2, 2)
         res = free_resolution(gens)
         assert res.composition_is_zero()
-        assert not res.has_scalar_entries()
+        assert not _has_scalar_entries(res)
         assert res.length <= ring.nvars + 1
 
 
