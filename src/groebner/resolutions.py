@@ -1,11 +1,18 @@
 """Free resolutions, Betti tables, regularity, and its randomized test.
 
-A resolution is built by iterating syzygies: take minimal generators, write
-down the syzygies of their completed basis, push them back onto the
-generators, minimalize, repeat until nothing is left.  Minimal generating
-sets at every level force the maps into the maximal ideal, which is what
-makes the resulting Betti numbers intrinsic.  Every resolution is minimal
-and finished: a degree cap that stops a completion raises CapInterrupted.
+A resolution starts from minimal generators.  When they are forms f_1..f_r
+of an ideal with r at most the number of variables and no degree cap is
+set, one completion decides whether they form a regular sequence: exactly
+when the Hilbert-series numerator of S/I is the product of the
+(1 - t^deg f_i) (Stanley, "Hilbert functions of graded algebras", 1978).
+Then the Koszul complex on f is the minimal resolution (Eisenbud, "The
+Geometry of Syzygies", 2005, ch. 1), and its maps are written down.
+Otherwise, or under a cap, the resolution iterates syzygies: write down
+the syzygies of the completed basis, push them back onto the generators,
+minimalize, repeat until nothing is left.  Minimal generating sets at
+every level force the maps into the maximal ideal, which is what makes the
+resulting Betti numbers intrinsic.  Every resolution is minimal and
+finished: a degree cap that stops a completion raises CapInterrupted.
 
 Regularity is read off the minimal resolution as the largest shift minus
 homological step, with the resolved object sitting at step 0.  The
@@ -21,16 +28,20 @@ per degree in the variables left.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from .modules import (
     BuchbergerOptions,
     as_module_elements,
     minimalize_generators,
+    module_buchberger,
     syzygy_generators,
+    syzygy_module_for,
 )
 from .oracle import Echelon, monomials_of_degree
 from .orders import GREVLEX
 from .poly import Polynomial, last_variable_change, mono_mul
+from .series import _product_numerator
 
 __all__ = [
     "FreeResolution", "BettiTable", "free_resolution", "regularity",
@@ -132,9 +143,12 @@ class FreeResolution:
 def free_resolution(gens, opts: BuchbergerOptions | None = None) -> FreeResolution:
     """Minimal free resolution of the ideal or submodule generated by
     homogeneous gens, polynomials or module elements, with the resolved
-    object at homological step 0.  Zero generators are dropped.  Under
-    opts.degree_cap a completion the cap stops raises CapInterrupted: a
-    truncated resolution has no Betti table or regularity to read.
+    object at homological step 0.  Zero generators are dropped.  Minimal
+    forms f_1..f_r that are a regular sequence are resolved by their Koszul
+    complex (_koszul_steps), of regularity sum(deg f_i) - r + 1; any other
+    input, and any input under opts.degree_cap, iterates syzygies.  Under
+    the cap a completion the cap stops raises CapInterrupted: a truncated
+    resolution has no Betti table or regularity to read.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -145,7 +159,11 @@ def free_resolution(gens, opts: BuchbergerOptions | None = None) -> FreeResoluti
     for g in gens:
         if not g.is_homogeneous():
             raise ValueError("resolutions need homogeneous input")
+    opts = opts or BuchbergerOptions()
     current = minimalize_generators(gens, opts)
+    steps = _koszul_steps(current, opts)
+    if steps is not None:
+        return FreeResolution(ring, steps)
     steps = [current]
     max_steps = ring.nvars + 1
     for _ in range(max_steps + 1):
@@ -158,6 +176,44 @@ def free_resolution(gens, opts: BuchbergerOptions | None = None) -> FreeResoluti
         raise AssertionError("resolution exceeded the variable-count bound")
 
     return FreeResolution(ring, steps)
+
+
+def _koszul_steps(gens, opts: BuchbergerOptions):
+    """The Koszul complex on minimal generators f of an ideal, as resolution
+    steps, when they form a regular sequence; None when the premises fail
+    (rank above 1, more forms than variables, a degree cap) or the
+    numerator of their completion is not the product of the (1 - t^d_i).
+    That completion is the first one syzygy_generators makes, so input
+    that fails the test pays no extra completion.
+
+    Step k >= 1 has one element per (k+1)-subset T of the positions of f,
+    by ascending degree with ties in combinations order; its component at
+    T minus t_j, the j-th position of T, is (-1)^j f_(t_j).  The deadline
+    is checked once per element."""
+    ring = gens[0].module.ring
+    if gens[0].module.rank != 1 or len(gens) > ring.nvars or opts.degree_cap is not None:
+        return None
+    forms = [g.comps[0] for g in gens]
+    degrees = [f.total_degree() for f in forms]
+    if module_buchberger(gens, opts)._completion.numerator() != _product_numerator(degrees):
+        return None
+    zero = ring.zero()
+    steps = [gens]
+    position = {(i,): i for i in range(len(gens))}
+    for size in range(2, len(gens) + 1):
+        module = syzygy_module_for(steps[-1])
+        subsets = sorted(combinations(range(len(gens)), size),
+                         key=lambda subset: sum(degrees[t] for t in subset))
+        step = []
+        for subset in subsets:
+            opts.check_deadline()
+            comps = [zero] * module.rank
+            for j, t in enumerate(subset):
+                comps[position[subset[:j] + subset[j + 1:]]] = -forms[t] if j % 2 else forms[t]
+            step.append(module.element(comps))
+        steps.append(step)
+        position = {subset: n for n, subset in enumerate(subsets)}
+    return steps
 
 
 def regularity(res: FreeResolution) -> int:

@@ -12,7 +12,9 @@ pivots, so any choice gives the same dict.
 A homogeneous ideal and its initial ideal under any monomial order have
 the same series, so ``ideals`` and the completion engine in ``modules``
 read numerators off leads here, and prove a saturation exact by dividing
-one by (1-t)^k.  Importing only ``poly``, this module is open to them all.
+one by (1-t)^k; ``resolutions`` recognizes a regular sequence by its
+numerator, the product of the (1 - t^d_i) (Stanley, 1978).  Importing only
+``poly``, this module is open to them all.
 """
 
 from __future__ import annotations
@@ -66,15 +68,8 @@ def _split(gens: tuple, cache: dict) -> dict:
                     exponents[i].append(e)
                 else:
                     exponents[i] = [e]
-    if coprime:  # the product of the (1 - t^deg m)
-        out = {0: 1}
-        for m in gens:
-            d = mono_degree(m)
-            nxt = dict(out)
-            for e, c in out.items():
-                nxt[e + d] = nxt.get(e + d, 0) - c
-            out = {e: c for e, c in nxt.items() if c}
-        cache[gens] = out
+    if coprime:
+        out = cache[gens] = _product_numerator(map(mono_degree, gens))
         return out
 
     v = max(exponents, key=lambda i: (len(exponents[i]), -i))
@@ -93,6 +88,19 @@ def _split(gens: tuple, cache: dict) -> dict:
         out[e + power] = out.get(e + power, 0) + c
     out = {e: c for e, c in out.items() if c}
     cache[gens] = out
+    return out
+
+
+def _product_numerator(degrees) -> dict:
+    """The product of the (1 - t^d) over degrees, by degree: the numerator
+    of S/M for M generated by coprime monomials of those degrees, and of
+    S/I for I generated by a regular sequence of forms of those degrees."""
+    out = {0: 1}
+    for d in degrees:
+        nxt = dict(out)
+        for e, c in out.items():
+            nxt[e + d] = nxt.get(e + d, 0) - c
+        out = {e: c for e, c in nxt.items() if c}
     return out
 
 

@@ -69,4 +69,5 @@ def engine_calls(monkeypatch):
 
     monkeypatch.setattr(modules, "module_buchberger", spy)
     monkeypatch.setattr(buchberger_module, "module_buchberger", spy)
+    monkeypatch.setattr(sys.modules["groebner.resolutions"], "module_buchberger", spy)
     return calls

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -330,6 +331,25 @@ def test_regularity_and_betti_commands(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert {"i": 0, "j": 2, "beta": 3} in payload["result"]
     assert {"i": 1, "j": 3, "beta": 2} in payload["result"]
+
+
+def test_resolve_and_regularity_on_a_complete_intersection(tmp_path, capsys):
+    # x^2 + yz, y^2 + zw, z^3 + w^3 have the coprime lex leads x^2, y^2, z^3:
+    # a regular sequence, resolved by the Koszul complex
+    f = tmp_path / "ci.id"
+    f.write_text("field Fp:32003\nring x y z w\nf1 = x^2 + y*z\nf2 = y^2 + z*w\nf3 = z^3 + w^3\n")
+    degrees = (2, 2, 3)
+    betti = {}
+    for size in range(1, len(degrees) + 1):
+        for subset in combinations(degrees, size):
+            betti[size - 1, sum(subset)] = betti.get((size - 1, sum(subset)), 0) + 1
+    rc = main(["resolve", "--json", str(f)])
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert rc == 0 and result["length"] == len(degrees) - 1
+    assert {(r["i"], r["j"]): r["beta"] for r in result["betti"]} == betti
+    rc = main(["regularity", str(f)])
+    reg = sum(degrees) - len(degrees) + 1
+    assert rc == 0 and capsys.readouterr().out.strip() == f"regularity: {reg}"
 
 
 def test_degenerate_command(capsys):

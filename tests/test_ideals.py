@@ -478,6 +478,7 @@ def test_sat_defect_passes_its_options_to_every_completion(monkeypatch):
     # every binding through which the package reaches the engine
     monkeypatch.setattr(modules, "module_buchberger", spy)
     monkeypatch.setattr(buchberger_module, "module_buchberger", spy)
+    monkeypatch.setattr(sys.modules["groebner.resolutions"], "module_buchberger", spy)
     R = PolynomialRing(GF(32003), ["x0", "x1", "x2"], GREVLEX)
     x0, x1, x2 = R.variables()
     sd = sat_defect([x0 * x0, x0 * x1, x1 * x2 * x2], seed=3,

@@ -674,6 +674,7 @@ def test_a_held_run_builds_its_numerator_once(monkeypatch, lifts):
     # package's buchberger() function shadows its submodule's name
     monkeypatch.setattr(modules, "module_buchberger", engine_spy)
     monkeypatch.setattr(sys.modules["groebner.buchberger"], "module_buchberger", engine_spy)
+    monkeypatch.setattr(sys.modules["groebner.resolutions"], "module_buchberger", engine_spy)
     modules._completions.clear()
     held = buchberger(gens)  # keeps the grevlex run in the table
     assert held.complete and builds == []

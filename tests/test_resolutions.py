@@ -4,6 +4,7 @@ import random
 import sys
 import time
 import tracemalloc
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -28,11 +29,18 @@ from groebner import (
     syzygies,
     twisted_cubic,
 )
+from groebner import modules
 from groebner.ideals import generic_change
-from groebner.modules import BuchbergerOptions, CapInterrupted, DeadlineExceeded
+from groebner.modules import (
+    BuchbergerOptions,
+    CapInterrupted,
+    DeadlineExceeded,
+    as_module_elements,
+    syzygy_generators,
+)
 from groebner.oracle import Echelon, monomials_of_degree
 from groebner.poly import Polynomial, last_variable_change, mono_mul
-from groebner.resolutions import INCONCLUSIVE
+from groebner.resolutions import INCONCLUSIVE, FreeResolution
 
 
 def _has_scalar_entries(res):
@@ -180,6 +188,197 @@ def test_resolution_of_random_ideals_is_exact():
         assert res.composition_is_zero()
         assert not _has_scalar_entries(res)
         assert res.length <= ring.nvars + 1
+
+
+# ---------------------------------------------------------------------------
+# the Koszul route, against the syzygy route as the reference
+# ---------------------------------------------------------------------------
+
+def _syzygy_route(gens, opts=None):
+    """free_resolution as it resolved every input: iterate syzygies of the
+    minimal generators, pushed back and minimalized, until none is left."""
+    _, elements = as_module_elements([g for g in gens if not g.is_zero])
+    current = minimalize_generators(elements, opts)
+    steps = [current]
+    while True:
+        pushed = syzygy_generators(current, opts, lex_sort=True)
+        if not pushed:
+            return FreeResolution(current[0].module.ring, steps)
+        current = minimalize_generators(pushed, opts)
+        steps.append(current)
+
+
+def _koszul_betti(degrees):
+    """beta[i, j] of the Koszul complex: the (i+1)-subsets of the degrees
+    that sum to j."""
+    return BettiTable.from_shifts(
+        [sum(subset) for subset in combinations(degrees, size)]
+        for size in range(1, len(degrees) + 1)
+    )
+
+
+def _no_syzygy_route(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the resolution iterated syzygies")
+
+    monkeypatch.setattr(sys.modules["groebner.resolutions"], "syzygy_generators", forbidden)
+
+
+def _regular_sequence(field, seed, nvars, degrees):
+    """Forms f_i in the variables x_i, x_(i+1), .. only: x_i^d_i plus seeded
+    terms of lower degree in x_i.  Their lex leads x_i^d_i are coprime, so
+    in(f) is generated by a regular sequence of monomials and f is a
+    regular sequence.  The ring is grevlex, so their leads there need not
+    be the x_i^d_i."""
+    ring = PolynomialRing(field, [f"x{i}" for i in range(nvars)], GREVLEX)
+    rng = random.Random(seed)
+    forms = []
+    for i, d in enumerate(degrees):
+        pad = (0,) * i
+        terms = [(field.random_scalar(rng), pad + m)
+                 for m in monomials_of_degree(nvars - i, d) if m[0] < d]
+        forms.append(ring.polynomial([(1, pad + (d,) + (0,) * (nvars - i - 1)), *terms]))
+    return forms
+
+
+FOUR_FIELDS = pytest.mark.parametrize("field", [GF(2), GF(3), GF(32003), QQ],
+                                      ids=["GF2", "GF3", "GF32003", "QQ"])
+REGULAR_SHAPES = [(2, (2, 3)), (3, (1, 2, 2)), (3, (2, 2, 2)), (4, (1, 2, 3)), (4, (2, 2, 2, 2))]
+
+
+@FOUR_FIELDS
+def test_regular_sequences_resolve_by_the_koszul_complex(field, monkeypatch):
+    for seed, (nvars, degrees) in enumerate(REGULAR_SHAPES):
+        gens = _regular_sequence(field, seed, nvars, degrees)
+        reference = _syzygy_route(gens).betti()
+        with monkeypatch.context() as m:
+            _no_syzygy_route(m)
+            res = free_resolution(gens)
+        assert res.betti() == reference == _koszul_betti(degrees), (seed, degrees)
+        assert regularity(res) == sum(degrees) - len(degrees) + 1
+        assert res.composition_is_zero()
+        assert not _has_scalar_entries(res)
+
+
+@FOUR_FIELDS
+def test_the_koszul_route_is_taken_exactly_on_regular_sequences(field, engine_calls):
+    # seeded forms, no more than variables, and every third list times a
+    # common factor, which is no regular sequence; the reference's Betti
+    # table says which lists are
+    taken = []
+    for seed in range(12):
+        nvars, count, degree = 3 + seed % 2, 2 + seed % 2, 1 + seed % 3
+        ring, gens = random_ideal(2000 + seed, nvars, count, degree, field=field)
+        if seed % 3 == 2:
+            gens = [g * ring.variable(0) for g in gens]
+        reference = _syzygy_route(gens)
+        engine_calls.clear()
+        res = free_resolution(gens)
+        koszul = len(engine_calls) == 1  # the identity check, and no syzygy step
+        assert res.betti() == reference.betti(), seed
+        degrees = [e.degree() for e in reference.steps[0]]
+        assert koszul == (reference.betti() == _koszul_betti(degrees)), seed
+        assert koszul or res.steps == reference.steps, seed
+        taken.append(koszul)
+    assert set(taken) == {True, False}
+
+
+@pytest.mark.parametrize("case", ["xy-xz", "twisted-cubic", "four-cubics", "tower"])
+def test_other_inputs_take_the_syzygy_route(case):
+    if case == "xy-xz":
+        ring = PolynomialRing(GF(32003), ["x", "y", "z"], GREVLEX)
+        x, y, z = ring.variables()
+        gens = [x * y, x * z]
+    elif case == "twisted-cubic":
+        gens = twisted_cubic(GF(32003), GREVLEX)[1]
+    elif case == "four-cubics":  # test_09's (3, 4, 3) shape
+        gens = random_ideal(1004, 3, 4, 3)[1]
+    else:
+        gens = mayr_meyer(1, homogeneous=True, field=GF(32003))[1]
+    res, reference = free_resolution(gens), _syzygy_route(gens)
+    assert res.steps == reference.steps
+
+
+def test_a_redundant_regular_sequence_is_minimalized_first(monkeypatch):
+    gens = _regular_sequence(GF(32003), 7, 4, (2, 2, 3))
+    x = gens[0].ring.variables()
+    redundant = [gens[0] * x[3], *gens, gens[1] * x[0] * x[2]]
+    reference = _syzygy_route(redundant).betti()
+    _no_syzygy_route(monkeypatch)
+    res = free_resolution(redundant)
+    assert res.betti() == reference == _koszul_betti((2, 2, 3))
+    assert [e.comps[0] for e in res.steps[0]] == gens
+
+
+def test_a_capped_complete_intersection_raises_where_it_did():
+    # a cap keeps the syzygy route: the same caps raise, and the others
+    # give the reference's maps
+    gens = _regular_sequence(GF(32003), 3, 3, (2, 2, 3))
+    for cap in range(0, 9):
+        opts = BuchbergerOptions(degree_cap=cap)
+        try:
+            reference = _syzygy_route(gens, opts)
+        except CapInterrupted:
+            with pytest.raises(CapInterrupted):
+                free_resolution(gens, opts)
+        else:
+            assert free_resolution(gens, opts).steps == reference.steps, cap
+
+
+class _Countdown(BuchbergerOptions):
+    """Options whose deadline passes at the n-th check; every check counts."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.n, self.checks = n, 0
+
+    def check_deadline(self):
+        self.checks += 1
+        if self.checks >= self.n:
+            raise DeadlineExceeded("countdown")
+
+
+def test_the_koszul_route_checks_the_deadline_once_per_element(monkeypatch):
+    gens = _regular_sequence(QQ, 5, 4, (1, 2, 2, 3))
+    past = BuchbergerOptions(deadline=time.monotonic() - 1.0)
+    with pytest.raises(DeadlineExceeded):
+        free_resolution(gens, past)
+    counting = _Countdown(10**9)
+    at_completion = []
+    resolutions = sys.modules["groebner.resolutions"]
+    inner = resolutions.module_buchberger
+
+    def spy(gens, opts):
+        out = inner(gens, opts)
+        at_completion.append(opts.checks)
+        return out
+
+    monkeypatch.setattr(resolutions, "module_buchberger", spy)
+    res = free_resolution(gens, counting)
+    koszul_elements = sum(len(step) for step in res.steps[1:])
+    assert koszul_elements == 2 ** 4 - 1 - 4
+    assert counting.checks - at_completion[0] == koszul_elements
+    # the deadline passing at the last element's check stops the route, and
+    # one check later it finishes; each run completes afresh
+    modules._completions.clear()
+    modules._latest = None
+    with pytest.raises(DeadlineExceeded):
+        free_resolution(gens, _Countdown(counting.checks))
+    modules._completions.clear()
+    modules._latest = None
+    assert free_resolution(gens, _Countdown(counting.checks + 1)).betti() == res.betti()
+
+
+def test_a_held_run_serves_the_koszul_check(engine_calls):
+    gens = _regular_sequence(GF(32003), 11, 4, (2, 2, 2))
+    held = buchberger(gens)
+    run = modules._latest
+    engine_calls.clear()
+    res = free_resolution(gens)
+    # one call, the identity check, served by the held run: no completion
+    assert engine_calls == [gens[0].ring] and modules._latest is run
+    assert res.betti() == _koszul_betti((2, 2, 2))
+    assert held.complete
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from groebner.oracle import monomials_of_degree
-from groebner.series import _exact_quotient, _numerator, _series_values
+from groebner.series import _exact_quotient, _numerator, _product_numerator, _series_values
 
 
 def _standard_count(monos, nvars, d):
@@ -85,6 +85,24 @@ def test_pure_powers_divide_by_one_minus_t_once_per_variable_they_miss():
             for k in range(1, count + 1):
                 assert _exact_quotient(numerator, k) is not None
             assert _exact_quotient(numerator, count + 1) is None
+
+
+@pytest.mark.parametrize("nvars", range(1, 5))
+def test_the_product_is_the_numerator_of_coprime_pure_powers(nvars):
+    # prod (1 - t^d_i) is the numerator of S/(x_1^d_1, ..., x_m^d_m), and it
+    # counts that quotient's standard monomials
+    for count in range(0, nvars + 1):
+        for seed in range(4):
+            monos = _pure_powers(nvars, count, seed)
+            degrees = [sum(m) for m in monos]
+            product = _product_numerator(iter(degrees))
+            assert product == _numerator(monos), (count, seed)
+            assert _series_values(product, nvars, 8) == [
+                _standard_count(monos, nvars, d) for d in range(9)]
+            assert product == _product_numerator(reversed(degrees))
+    assert _product_numerator([]) == {0: 1}
+    assert _product_numerator([1, 1]) == {0: 1, 1: -2, 2: 1}
+    assert _product_numerator([2, 0]) == {}
 
 
 @pytest.mark.parametrize("n", range(1, 5))
